@@ -490,7 +490,7 @@ func TestPropertyPPBInvariants(t *testing.T) {
 	}
 }
 
-// TestWriteParityWithConventional encodes DESIGN.md invariant 6: PPB's
+// TestWriteParityWithConventional encodes README.md invariant 6: PPB's
 // total write-path time stays within a percent of the conventional FTL,
 // because both fill every block's full fast/slow page spectrum.
 func TestWriteParityWithConventional(t *testing.T) {

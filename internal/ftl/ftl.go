@@ -114,14 +114,6 @@ type Options struct {
 	GCLowWater int
 	// GCHighWater is where a GC burst stops (default GCLowWater+2).
 	GCHighWater int
-	// DebugScanVictims selects the O(blocks) full-scan victim selection
-	// instead of the incremental invalid-count index maintained by
-	// vblock.Manager. Both implement the same greedy policy (most
-	// invalid pages, wear tie-break); the flag exists so tests can
-	// cross-check them and perf work can quantify the scan cost. It does
-	// NOT restore the pre-PR-1 cost-benefit scoring (see victimPolicy in
-	// base.go). Leave false outside of debugging.
-	DebugScanVictims bool
 	// Dispatch is the chip-dispatch policy consulted whenever a fresh
 	// physical block is allocated — host writes, GC relocations and
 	// hot/cold stream pipelines alike. nil defaults to vblock.Striped

@@ -463,7 +463,7 @@ func TestNoSpaceErrorWhenOvercommitted(t *testing.T) {
 }
 
 // Property: random workloads keep mapping and device accounting intact on
-// every FTL (DESIGN.md invariant 4/5), and shadow-model reads agree.
+// every FTL (README.md invariants 4/5), and shadow-model reads agree.
 func TestPropertyFTLConsistency(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind

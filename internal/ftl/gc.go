@@ -18,8 +18,8 @@ type ReprogramFunc func(oob nand.OOB) (time.Duration, nand.PPN, error)
 //
 // Victims come from the manager's incrementally maintained invalid-count
 // index, so each pick costs O(candidates at the top count) instead of a
-// scan over every block; Options.DebugScanVictims restores the legacy
-// full-scan policy for cross-checking.
+// scan over every block (victim_test.go cross-checks it against the
+// full-scan reference).
 func (b *Base) GCLoop(exclude func(nand.BlockID) bool, reprogram ReprogramFunc) error {
 	return b.GCLoopOrdered(exclude, reprogram, nil)
 }
@@ -27,16 +27,8 @@ func (b *Base) GCLoop(exclude func(nand.BlockID) bool, reprogram ReprogramFunc) 
 // pickVictim selects the next GC victim: full blocks only, then (when
 // fullOnly is cleared) any owned block as the desperation fallback.
 // Under Options.Wear == WearAware the greedy rule is relaxed through
-// the victim index (the debug full scan keeps the plain greedy policy —
-// it exists to cross-check the index, not the wear knob).
+// the victim index.
 func (b *Base) pickVictim(fullOnly bool, exclude func(nand.BlockID) bool) (nand.BlockID, bool) {
-	if b.opts.DebugScanVictims {
-		iter := b.vbm.ForEachFull
-		if !fullOnly {
-			iter = b.vbm.ForEachOwned
-		}
-		return victimPolicy{dev: b.dev}.pick(iter, exclude)
-	}
 	if b.opts.Wear == WearAware {
 		return b.vbm.PickVictimWearAware(fullOnly, exclude, b.dev.EraseCount, b.opts.WearWindow)
 	}

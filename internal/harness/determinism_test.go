@@ -2,6 +2,8 @@ package harness
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -14,15 +16,19 @@ import (
 var determinismScale = Scale{DeviceDivisor: 128, WriteTurnover: 1.0, Seed: 3}
 
 // figureBytes flattens a figure to a canonical byte form: the rendered
-// table plus the JSON-encoded series (sorted keys, full float64
-// round-trip precision).
+// table plus the JSON-encoded series and per-spec throughput (sorted
+// keys, full float64 round-trip precision).
 func figureBytes(t *testing.T, fig *FigureResult) string {
 	t.Helper()
-	buf, err := json.Marshal(fig.Series)
+	series, err := json.Marshal(fig.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fig.Table.String() + "\n" + string(buf)
+	throughput, err := json.Marshal(fig.Throughput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig.Table.String() + "\n" + string(series) + "\n" + string(throughput) + "\n"
 }
 
 // TestFiguresDeterministicAcrossParallelism: every registered figure must
@@ -31,7 +37,11 @@ func figureBytes(t *testing.T, fig *FigureResult) string {
 // the measurements. This is the registry-wide generalization of the
 // per-spec determinism tests, and it covers a6's dispatch policies
 // (including the clock-reading least-loaded placement) through the
-// registry.
+// registry. The serial run is also diffed against testdata/figures/<id>.txt,
+// which pins what the golden series do not: the rendered table, the
+// spec-name throughput keys, and the paper figures 12–18 and 3
+// (re-record with go test ./internal/harness -run
+// TestFiguresDeterministicAcrossParallelism -update).
 func TestFiguresDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double full-registry sweep; skipped in -short")
@@ -60,6 +70,24 @@ func TestFiguresDeterministicAcrossParallelism(t *testing.T) {
 			a, b := figureBytes(t, figSerial), figureBytes(t, figWide)
 			if a != b {
 				t.Errorf("experiment %s differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", id, a, b)
+			}
+			path := filepath.Join("testdata", "figures", id+".txt")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(a), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s", path)
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing pin (run with -update to record): %v", err)
+			}
+			if a != string(want) {
+				t.Errorf("experiment %s drifted from %s (intentional? re-record with -update):\n--- got ---\n%s\n--- want ---\n%s", id, path, a, want)
 			}
 		})
 	}

@@ -11,11 +11,8 @@ func TestDiagBenchScale(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	s := BenchScale
-	for _, tr := range []string{"mediaserver", "websql"} {
-		wl, err := s.workloadByName(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, wl := range []WorkloadBuilder{s.MediaWorkload(), s.WebSQLWorkload()} {
+		tr := paperTraces[i]
 		dev := s.DeviceConfig(16<<10, 2.0)
 		conv, err := Run(RunSpec{Name: tr + "/conv", Device: dev, Kind: KindConventional, Workload: wl, Prefill: true})
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 //
 // Commit the rewritten files together with whatever intentional change
 // moved the numbers, so the diff documents the drift.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures and testdata/figures pins")
 
 // goldenFixture is the on-disk schema of one pinned experiment: the raw
 // numeric series of its FigureResult at quick scale. Fixtures pin exact
@@ -30,8 +30,9 @@ type goldenFixture struct {
 
 // goldenExperiments returns the experiment IDs pinned by fixtures: the
 // infrastructure sweeps a1..aN (the paper figures are shape-asserted
-// elsewhere; the a-series carries the scenario knobs where silent drift
-// has bitten before — see the PR 1 victim-policy note in base.go).
+// elsewhere and pinned by testdata/figures; the a-series carries the
+// scenario knobs where silent drift has bitten before — see the
+// victimPolicy note in internal/ftl/victim_test.go).
 func goldenExperiments() []string {
 	var ids []string
 	for _, id := range ExperimentOrder {

@@ -37,26 +37,10 @@ func TestScaleDeviceConfig(t *testing.T) {
 		t.Errorf("ratio = %g", cfg.SpeedRatio)
 	}
 	if cfg.TransferBytesPerSec != 0 {
-		t.Error("experiments must exclude per-op transfer (DESIGN.md §5)")
+		t.Error("experiments must exclude per-op transfer (README.md §5)")
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWorkloadByName(t *testing.T) {
-	for _, name := range []string{"mediaserver", "media", "websql", "web"} {
-		wl, err := testScale.workloadByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		gen := wl(64 << 20)
-		if gen.LogicalBytes() != 64<<20 {
-			t.Errorf("%s: logical bytes = %d", name, gen.LogicalBytes())
-		}
-	}
-	if _, err := testScale.workloadByName("nope"); err == nil {
-		t.Error("unknown workload accepted")
 	}
 }
 
@@ -158,6 +142,18 @@ func TestPrefillExcludedFromStats(t *testing.T) {
 	}
 }
 
+// requestStream streams the given requests in order.
+func requestStream(reqs ...trace.Request) trace.Stream {
+	return &workload.Func{WorkloadName: "requests", NextFunc: func() (trace.Request, bool) {
+		if len(reqs) == 0 {
+			return trace.Request{}, false
+		}
+		r := reqs[0]
+		reqs = reqs[1:]
+		return r, true
+	}}
+}
+
 func TestReplayRequestSplitsPages(t *testing.T) {
 	dev := nand.MustNewDevice(testScale.DeviceConfig(16<<10, 2))
 	f, err := buildFTL(RunSpec{Kind: KindConventional}, dev)
@@ -166,7 +162,7 @@ func TestReplayRequestSplitsPages(t *testing.T) {
 	}
 	// A 3.5-page write touches 4 pages.
 	req := trace.Request{Op: trace.OpWrite, Offset: 16384, Size: 3*16384 + 8192}
-	if err := ReplayRequest(f, req, 16384); err != nil {
+	if err := ReplayQueued(f, requestStream(req), nil, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Stats().HostWrites.Value(); got != 4 {

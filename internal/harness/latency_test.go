@@ -94,17 +94,18 @@ func TestErasesExcludePrePlayWork(t *testing.T) {
 	// Measured window: a handful of reads that erase nothing.
 	rm := NewReplayMetrics()
 	gen := testScale.WebSQLWorkload()(f.LogicalPages() * uint64(spec.Device.PageSize))
+	var reads []trace.Request
 	for i := 0; i < 100; i++ {
 		r, ok := gen.Next()
 		if !ok {
 			break
 		}
-		if r.Op != trace.OpRead { // writes could legitimately erase; replay reads only
-			continue
+		if r.Op == trace.OpRead { // writes could legitimately erase; replay reads only
+			reads = append(reads, r)
 		}
-		if err := replayRequest(f, r, spec.Device.PageSize, rm); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := ReplayQueued(f, requestStream(reads...), rm, ReplayOptions{}); err != nil {
+		t.Fatal(err)
 	}
 	res := collect(spec, f, eraseBase, nand.ReliabilityStats{}, 0, 0, 0, rm)
 	if res.Erases != 0 {
@@ -131,7 +132,7 @@ func TestUnmappedReadsNotObservedAsLatency(t *testing.T) {
 	}
 	rm := NewReplayMetrics()
 	read := trace.Request{Op: trace.OpRead, Offset: 0, Size: 16384}
-	if err := replayRequest(f, read, spec.Device.PageSize, rm); err != nil {
+	if err := ReplayQueued(f, requestStream(read), rm, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rm.ReadLatency.Count(); got != 0 {
@@ -139,10 +140,7 @@ func TestUnmappedReadsNotObservedAsLatency(t *testing.T) {
 	}
 	// Once the page is written, both the write and the re-read count.
 	write := trace.Request{Op: trace.OpWrite, Offset: 0, Size: 16384}
-	if err := replayRequest(f, write, spec.Device.PageSize, rm); err != nil {
-		t.Fatal(err)
-	}
-	if err := replayRequest(f, read, spec.Device.PageSize, rm); err != nil {
+	if err := ReplayQueued(f, requestStream(write, read), rm, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if rm.WriteLatency.Count() != 1 || rm.ReadLatency.Count() != 1 {

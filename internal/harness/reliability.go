@@ -78,10 +78,7 @@ func lifetimeProbe(cfg nand.Config, wear string, profile string, seed int64) (ui
 			return 0, err
 		}
 	}
-	hot := span / 8
-	if hot < 1 {
-		hot = 1
-	}
+	hot := max(span/8, 1)
 	limit := cfg.TotalPages() * uint64(prof.PECycleLimit+1) * 2
 	var writes uint64
 	for writes < limit {
@@ -109,89 +106,55 @@ func lifetimeProbe(cfg nand.Config, wear string, profile string, seed int64) (ui
 // lifetime proxy responds; wear-aware victim scoring only flattens wear
 // among already-churning blocks.
 func ReliabilitySweep(s Scale) (*FigureResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	wl := s.WebSQLWorkload()
 	dev := s.DeviceConfig(16<<10, 2.0)
-	kinds := []FTLKind{KindConventional, KindPPB}
-	specs := make([]RunSpec, 0, len(ReliabilityProfiles)*len(ReliabilityWearPolicies)*len(kinds)+len(ReliabilityCyclingTurnovers))
-	for _, prof := range ReliabilityProfiles {
-		for _, wear := range ReliabilityWearPolicies {
-			for _, kind := range kinds {
-				specs = append(specs, RunSpec{
-					Name:        fmt.Sprintf("reliability-sweep/%s/%s/%s", prof, wear, kind),
-					Device:      dev,
-					Kind:        kind,
-					Workload:    wl,
-					Prefill:     true,
-					Reliability: prof,
-					Wear:        wear,
-					Seed:        s.Seed,
-				})
-			}
-		}
-	}
-	// P/E-cycling axis: the high profile under the default policies at
-	// scaled write volumes. More turnover means more erases per block,
-	// so the cycling term of the RBER model must raise the retry rate.
-	for _, mult := range ReliabilityCyclingTurnovers {
-		cs := s
-		cs.WriteTurnover = s.WriteTurnover * mult
-		specs = append(specs, RunSpec{
-			Name:        fmt.Sprintf("reliability-sweep/cycling/%gx", mult),
-			Device:      dev,
-			Kind:        KindConventional,
-			Workload:    cs.WebSQLWorkload(),
-			Prefill:     true,
-			Reliability: "high",
-			Seed:        s.Seed,
-		})
-	}
-	results, err := RunAll(specs, s.Parallelism)
-	if err != nil {
-		return nil, err
-	}
 	tbl := metrics.NewTable("Experiment a9: reliability engine — BER profile x wear policy x FTL (websql, ratio 2x)",
 		"point", "retry rate", "mean retries", "uncorrectable", "retired blocks", "lifetime writes")
-	fig := newFigure("a9-reliability-sweep", tbl)
-	fig.recordThroughput(specs, results)
-	i := 0
-	for _, prof := range ReliabilityProfiles {
-		for _, wear := range ReliabilityWearPolicies {
-			for _, kind := range kinds {
-				res := results[i]
-				i++
-				key := fmt.Sprintf("%s/%s/%s", prof, wear, kind)
-				fig.add(key+"/retryrate", res.RetryRate)
-				fig.add(key+"/meanretry", res.MeanRetrySteps)
-				fig.add(key+"/uncorrectable", float64(res.UncorrectableReads))
-				fig.add(key+"/retired", float64(res.RetiredBlocks))
-				tbl.AddRow(key, fmt.Sprintf("%.4f%%", res.RetryRate*100),
-					fmt.Sprintf("%.3f", res.MeanRetrySteps),
-					res.UncorrectableReads, res.RetiredBlocks, "-")
-			}
-		}
+	// rowOf renders one replay point; only lifetime probes fill the last
+	// column.
+	rowOf := func(point string, res Result) []any {
+		return []any{point, fmt.Sprintf("%.4f%%", res.RetryRate*100), fmt.Sprintf("%.3f", res.MeanRetrySteps),
+			res.UncorrectableReads, res.RetiredBlocks, "-"}
 	}
-	for _, mult := range ReliabilityCyclingTurnovers {
-		res := results[i]
-		i++
-		fig.add("cycling/retryrate", res.RetryRate)
-		tbl.AddRow(fmt.Sprintf("cycling/%gx/high/conventional", mult),
-			fmt.Sprintf("%.4f%%", res.RetryRate*100),
-			fmt.Sprintf("%.3f", res.MeanRetrySteps),
-			res.UncorrectableReads, res.RetiredBlocks, "-")
+	fig, err := runSweeps(s, newFigure("a9-reliability-sweep", tbl), sweep{
+		prefix: "reliability-sweep",
+		base:   RunSpec{Device: dev, Workload: s.WebSQLWorkload(), Prefill: true, Seed: s.Seed},
+		axes: []axis{
+			over("%s", ReliabilityProfiles, func(r *RunSpec, prof string) { r.Reliability = prof }),
+			over("%s", ReliabilityWearPolicies, func(r *RunSpec, wear string) { r.Wear = wear }),
+			kinds(KindConventional, KindPPB),
+		},
+		row: func(f *FigureResult, p point) []any {
+			key, res := p.key(3), p.res[0]
+			f.add(key+"/retryrate", res.RetryRate)
+			f.add(key+"/meanretry", res.MeanRetrySteps)
+			f.add(key+"/uncorrectable", float64(res.UncorrectableReads))
+			f.add(key+"/retired", float64(res.RetiredBlocks))
+			return rowOf(key, res)
+		},
+	}, sweep{
+		// P/E-cycling axis: the high profile under the default policies at
+		// scaled write volumes. More turnover means more erases per block,
+		// so the cycling term of the RBER model must raise the retry rate.
+		prefix: "reliability-sweep/cycling",
+		base:   RunSpec{Device: dev, Kind: KindConventional, Prefill: true, Reliability: "high", Seed: s.Seed},
+		axes: []axis{over("%gx", ReliabilityCyclingTurnovers, func(r *RunSpec, mult float64) {
+			cs := s
+			cs.WriteTurnover = s.WriteTurnover * mult
+			r.Workload = cs.WebSQLWorkload()
+		})},
+		row: func(f *FigureResult, p point) []any {
+			f.add("cycling/retryrate", p.res[0].RetryRate)
+			return rowOf("cycling/"+p.labels[0]+"/high/conventional", p.res[0])
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Lifetime proxy: sequential by design — each probe runs a device to
 	// its capacity floor, and three small probes are cheaper than one
 	// replay point above.
-	probeDev := dev
-	probeDev.BlocksPerChip /= reliabilityLifetimeDivisor
-	if probeDev.BlocksPerChip < 16 {
-		probeDev.BlocksPerChip = 16
-	}
 	for _, wear := range ReliabilityWearPolicies {
-		writes, err := lifetimeProbe(probeDev, wear, "high", s.Seed)
+		writes, err := lifetimeProbe(dev.Scaled(reliabilityLifetimeDivisor), wear, "high", s.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,6 @@
 // Package harness builds devices and FTLs, replays workloads through
 // them, and regenerates every table and figure of the paper's evaluation
-// section (see the per-experiment index in DESIGN.md).
+// section (README.md has one section per experiment family).
 package harness
 
 import (
@@ -721,20 +721,6 @@ type ReplayOptions struct {
 	Tenants int
 }
 
-// Replay feeds every request of the stream through the FTL, splitting
-// byte ranges into page operations. Latency is not recorded; use
-// ReplayMeasured or ReplayQueued for per-request percentiles.
-func Replay(f ftl.FTL, src trace.Stream) error {
-	return ReplayQueued(f, src, nil, ReplayOptions{})
-}
-
-// ReplayMeasured is Replay recording per-request completion latency into
-// m under the classic closed loop at queue depth 1 (nil m skips
-// measurement and leaves the device issue clock alone).
-func ReplayMeasured(f ftl.FTL, src trace.Stream, m *ReplayMetrics) error {
-	return ReplayQueued(f, src, m, ReplayOptions{})
-}
-
 // ReplayQueued replays the stream under a host queueing model, as one
 // discrete-event loop over a single time-ordered heap (internal/sched):
 // open-loop arrivals, queue-slot issues, per-request completions,
@@ -911,34 +897,6 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 	}
 	m.Events += popped
 	m.Wall += time.Since(wallStart) //flashvet:wallclock — host-speed metric only; Canonical() masks Wall out of determinism comparisons
-	return nil
-}
-
-// ReplayRequest issues one trace request as page-level FTL operations.
-func ReplayRequest(f ftl.FTL, r trace.Request, pageSize int) error {
-	return replayRequest(f, r, pageSize, nil)
-}
-
-// replayRequest issues one request and, when m is given, measures it as a
-// single-request closed loop: issue at the device clock, observe the
-// burst completion, advance the clock there. ReplayQueued is the
-// multi-request generalization; this helper remains for callers that
-// drive requests one at a time.
-func replayRequest(f ftl.FTL, r trace.Request, pageSize int, m *ReplayMetrics) error {
-	dev := f.Device()
-	if m == nil {
-		return issueRequest(f, r, pageSize)
-	}
-	issue := dev.Now()
-	dev.BeginBurst()
-	if err := issueRequest(f, r, pageSize); err != nil {
-		return err
-	}
-	if dev.BurstOps() > 0 {
-		fin := dev.BurstFinish()
-		m.observe(r.Op, r.Tenant, fin-issue, dev.BurstStart()-issue)
-		dev.AdvanceTo(fin)
-	}
 	return nil
 }
 

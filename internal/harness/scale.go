@@ -59,7 +59,7 @@ func (s Scale) Validate() error {
 // 533 MB/s transfer is added to every page op (≈14.8% at 2x/16 KB), so
 // its latency accounting evidently covers the asymmetric cell time alone.
 // The device model still supports transfer costing for other users; see
-// DESIGN.md §5.
+// README.md §5.
 func (s Scale) DeviceConfig(pageSize int, speedRatio float64) nand.Config {
 	cfg := nand.TableOneConfig().Scaled(s.DeviceDivisor)
 	cfg.TransferBytesPerSec = 0
@@ -208,17 +208,5 @@ func (s Scale) TenantWorkloads(n int) WorkloadBuilder {
 			Bytes:        logicalBytes,
 			NextFunc:     comp.Next,
 		}
-	}
-}
-
-// workloadByName resolves the two paper traces.
-func (s Scale) workloadByName(name string) (WorkloadBuilder, error) {
-	switch name {
-	case "mediaserver", "media":
-		return s.MediaWorkload(), nil
-	case "websql", "web":
-		return s.WebSQLWorkload(), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown workload %q", name)
 	}
 }

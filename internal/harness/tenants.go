@@ -27,10 +27,6 @@ var TenantDispatchPolicies = []string{"striped", "tenant-partition", "hotcold-af
 // exist to bound.
 var TenantSweepDepths = []int{4, 16}
 
-// tenantSweepChips matches the a5–a8 device: tenant isolation is a
-// placement question, so it needs chips to place on.
-const tenantSweepChips = 4
-
 // NewTenantPageOpsFTL builds the multi-tenant microbenchmark subject: a
 // 512 MB-class Table 1 device spread over four chips under
 // tenant-partition dispatch with a four-tenant population. Both
@@ -116,60 +112,26 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 // reads, while tenant-partition confines each tenant — allocations and
 // the GC they cascade into — to its own chips.
 func TenantSweep(s Scale) (*FigureResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	dev := trimToChipMultiple(s.DeviceConfig(16<<10, 2.0), tenantSweepChips).WithChips(tenantSweepChips)
-	specs := make([]RunSpec, 0, len(TenantCounts)*len(TenantDispatchPolicies)*len(TenantSweepDepths))
-	for _, n := range TenantCounts {
-		wl := s.TenantWorkloads(n)
-		for _, policy := range TenantDispatchPolicies {
-			for _, qd := range TenantSweepDepths {
-				specs = append(specs, RunSpec{
-					Name:       fmt.Sprintf("tenant-sweep/t%d/%s/qd%d/ppb", n, policy, qd),
-					Device:     dev,
-					Kind:       KindPPB,
-					Workload:   wl,
-					Prefill:    true,
-					QueueDepth: qd,
-					Dispatch:   policy,
-					Tenants:    n,
-				})
-			}
-		}
-	}
-	results, err := RunAll(specs, s.Parallelism)
-	if err != nil {
-		return nil, err
-	}
+	tenants := over("t%d", TenantCounts, func(r *RunSpec, n int) { r.Workload, r.Tenants = s.TenantWorkloads(n), n })
 	tbl := metrics.NewTable("Experiment a10: tenant count x dispatch policy x queue depth (tenant mix, 4 chips, PPB)",
 		"tenants", "dispatch", "QD", "makespan (s)", "erases", "t0 read p99", "t0 qdelay p99", "worst read p99")
-	fig := newFigure("a10-tenant-sweep", tbl)
-	fig.recordThroughput(specs, results)
-	i := 0
-	for _, n := range TenantCounts {
-		for _, policy := range TenantDispatchPolicies {
-			for _, qd := range TenantSweepDepths {
-				res := results[i]
-				i++
-				key := fmt.Sprintf("t%d/%s", n, policy)
-				fig.add(key+"/makespan", res.Makespan.Seconds())
-				fig.add(key+"/erases", float64(res.Erases))
-				worst := res.Tenants[0].ReadP99
-				for t := 0; t < res.TenantCount; t++ {
-					tr := res.Tenants[t]
-					tkey := fmt.Sprintf("%s/tenant%d", key, t)
-					fig.add(tkey+"/readp99", tr.ReadP99.Seconds())
-					fig.add(tkey+"/qdelayp99", tr.QueueDelayP99.Seconds())
-					fig.add(tkey+"/ops", float64(tr.Ops))
-					if tr.ReadP99 > worst {
-						worst = tr.ReadP99
-					}
-				}
-				tbl.AddRow(n, policy, qd, res.Makespan.Seconds(), res.Erases,
-					res.Tenants[0].ReadP99, res.Tenants[0].QueueDelayP99, worst)
+	return runSweeps(s, newFigure("a10-tenant-sweep", tbl), sweep{
+		prefix: "tenant-sweep",
+		base:   RunSpec{Device: sweepDevice(s), Prefill: true},
+		axes:   []axis{tenants, dispatchAxis(TenantDispatchPolicies), qdAxis(TenantSweepDepths), kinds(KindPPB)},
+		row: func(f *FigureResult, p point) []any {
+			key, res := p.key(2), p.res[0]
+			f.addMetrics(key, p.res, "makespan", "erases")
+			worst := res.Tenants[0].ReadP99
+			for t, tr := range res.Tenants[:res.TenantCount] {
+				tkey := fmt.Sprintf("%s/tenant%d", key, t)
+				f.add(tkey+"/readp99", tr.ReadP99.Seconds())
+				f.add(tkey+"/qdelayp99", tr.QueueDelayP99.Seconds())
+				f.add(tkey+"/ops", float64(tr.Ops))
+				worst = max(worst, tr.ReadP99)
 			}
-		}
-	}
-	return fig, nil
+			return []any{TenantCounts[p.idx[0]], p.labels[1], TenantSweepDepths[p.idx[2]], res.Makespan.Seconds(), res.Erases,
+				res.Tenants[0].ReadP99, res.Tenants[0].QueueDelayP99, worst}
+		},
+	})
 }

@@ -55,7 +55,7 @@ type Config struct {
 	EraseLatency time.Duration
 	// TransferBytesPerSec is the channel transfer rate used to move one
 	// page between controller and cell array, applied to both reads and
-	// programs. See DESIGN.md §5 for the 533 MB/s interpretation of the
+	// programs. See README.md §5 for the 533 MB/s interpretation of the
 	// paper's "533Mbps".
 	TransferBytesPerSec float64
 }

@@ -899,7 +899,7 @@ func (d *Device) MaxEraseCount() uint32 { return d.maxWear }
 
 // CheckAccounting verifies that per-block page-state counters agree with
 // the page arrays. It returns the first inconsistency found and is used by
-// property tests (invariant 5 of DESIGN.md).
+// property tests (README.md invariant 5).
 func (d *Device) CheckAccounting() error {
 	for bi := range d.blocks {
 		blk := &d.blocks[bi]

@@ -283,7 +283,7 @@ func TestMaxEraseCount(t *testing.T) {
 }
 
 // TestPropertyRandomOpsKeepAccounting drives random legal op sequences and
-// checks that device accounting invariants hold throughout (DESIGN.md
+// checks that device accounting invariants hold throughout (README.md
 // invariant 5).
 func TestPropertyRandomOpsKeepAccounting(t *testing.T) {
 	f := func(seed int64) bool {

@@ -21,7 +21,7 @@ func makeTimedChild(rng *rand.Rand, n int, tenant uint8) []Request {
 		reqs[i] = Request{
 			Time:   t,
 			Op:     op,
-			Offset: uint64(rng.Intn(1 << 20)) * 4096,
+			Offset: uint64(rng.Intn(1<<20)) * 4096,
 			Size:   4096 * uint32(1+rng.Intn(4)),
 			Hot:    rng.Intn(4) == 0,
 			Tenant: tenant, // overwritten by the compositor; set to prove it

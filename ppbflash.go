@@ -316,7 +316,7 @@ type (
 	// quantiles (P50/P95/P99 in RunResult come from these).
 	Histogram = metrics.Histogram
 	// ReplayMetrics accumulates per-request completion latency during a
-	// measured replay (see ReplayMeasured and ReplayQueued).
+	// measured replay (see ReplayQueued).
 	ReplayMetrics = harness.ReplayMetrics
 	// ReplayOptions selects the host queueing model of a measured replay:
 	// queue depth (outstanding request cap) and closed- vs open-loop.
@@ -378,28 +378,16 @@ var FTLKindNames = harness.FTLKindNames
 // RunPageOps executes n iterations of the standard page-op loop.
 func RunPageOps(f FTL, n int) error { return harness.RunPageOps(f, n) }
 
-// Replay feeds a request stream through an FTL, splitting requests into
-// pages.
-func Replay(f FTL, src Stream) error { return harness.Replay(f, src) }
-
-// ReplayMeasured is Replay recording per-request completion latency under
-// the device's chip-parallel service model into m (build m with
-// NewReplayMetrics; nil skips measurement). It is the classic closed loop
-// at queue depth 1; use ReplayQueued for deeper queues or open-loop
-// arrivals.
-func ReplayMeasured(f FTL, src Stream, m *ReplayMetrics) error {
-	return harness.ReplayMeasured(f, src, m)
-}
-
 // ReplayQueued replays the stream under a host queueing model, as a
 // discrete-event loop over one time-ordered event heap: a closed loop
 // keeping ReplayOptions.QueueDepth requests outstanding, or — with
 // ReplayOptions.OpenLoop — an open loop issuing requests at their trace
 // arrival times and recording queueing delay alongside completion
 // latency. A nil m skips measurement and the host model entirely (the
-// options are ignored and requests replay back to back, like Replay);
-// pass NewReplayMetrics() when the queueing model should shape the
-// device clocks.
+// options are ignored and requests replay back to back); pass
+// NewReplayMetrics() when the queueing model should shape the device
+// clocks. The zero ReplayOptions is the classic closed loop at queue
+// depth 1.
 func ReplayQueued(f FTL, src Stream, m *ReplayMetrics, opts ReplayOptions) error {
 	return harness.ReplayQueued(f, src, m, opts)
 }
@@ -418,7 +406,7 @@ func RunCompositorEventLoop(f FTL, m *ReplayMetrics, n int) error {
 	return harness.RunCompositorEventLoop(f, m, n)
 }
 
-// NewReplayMetrics builds request-latency histograms for ReplayMeasured.
+// NewReplayMetrics builds request-latency histograms for ReplayQueued.
 func NewReplayMetrics() *ReplayMetrics { return harness.NewReplayMetrics() }
 
 // Experiment runs one of the paper's experiments by ID ("12".."18" for
