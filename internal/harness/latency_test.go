@@ -89,7 +89,7 @@ func TestErasesExcludePrePlayWork(t *testing.T) {
 	}
 	*f.Stats() = ftl.Stats{}
 	dev.ResetClocks()
-	eraseBase := dev.TotalErases()
+	base := snapshot(dev)
 
 	// Measured window: a handful of reads that erase nothing.
 	rm := NewReplayMetrics()
@@ -107,10 +107,10 @@ func TestErasesExcludePrePlayWork(t *testing.T) {
 	if err := ReplayQueued(f, requestStream(reads...), rm, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res := collect(spec, f, eraseBase, nand.ReliabilityStats{}, 0, 0, 0, rm)
+	res := collect(spec, f, base, rm)
 	if res.Erases != 0 {
 		t.Errorf("read-only window reported %d erases (pre-window count %d leaked in)",
-			res.Erases, eraseBase)
+			res.Erases, base.erases)
 	}
 	if got := f.Stats().GCErases.Value(); res.Erases != got {
 		t.Errorf("Result.Erases %d disagrees with measured GC erases %d", res.Erases, got)

@@ -400,3 +400,56 @@ func TestQDSweepShape(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayHeapCarriesOnlyHostEvents pins the event heap's contents on
+// the full device-knob stack (4 chips × 2 planes, erase deferral and
+// erase suspension, 4 tenants at QD16, prefilled so every read maps):
+// every request pops exactly one issue and one completion event, plus
+// one arrival in the open loop, and nothing else — deferred erases and
+// suspensions happen inside the issuing request, not on the heap. After
+// the replay drains, no erase is left parked.
+func TestReplayHeapCarriesOnlyHostEvents(t *testing.T) {
+	const tenants = 4
+	for _, open := range []bool{false, true} {
+		spec := RunSpec{
+			Name: "host-events", Device: testScale.DeviceConfig(16<<10, 2).WithChips(4).WithPlanes(2),
+			Kind: KindPPB, Dispatch: "tenant-partition", Tenants: tenants,
+			Suspend: "erase", DeferErases: true,
+		}
+		dev, err := nand.NewDevice(spec.Device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := buildFTL(spec, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prefill(f); err != nil {
+			t.Fatal(err)
+		}
+		base := snapshot(dev)
+		rm := NewReplayMetrics()
+		rm.EnableTenants(tenants)
+		gen := testScale.TenantWorkloads(tenants)(f.LogicalPages() * uint64(spec.Device.PageSize))
+		opts := ReplayOptions{QueueDepth: 16, OpenLoop: open, Tenants: tenants}
+		if err := ReplayQueued(f, gen, rm, opts); err != nil {
+			t.Fatal(err)
+		}
+		delta := snapshot(dev).sub(base)
+		if delta.erases == 0 || delta.suspends == 0 {
+			t.Fatalf("open=%v: replay exercised %d erases and %d suspensions, want both > 0",
+				open, delta.erases, delta.suspends)
+		}
+		perRequest := uint64(2) // issue + completion
+		if open {
+			perRequest = 3 // arrival + issue + completion
+		}
+		samples := rm.ReadLatency.Count() + rm.WriteLatency.Count()
+		if want := perRequest * samples; rm.Events != want {
+			t.Errorf("open=%v: %d events popped for %d requests, want %d", open, rm.Events, samples, want)
+		}
+		if n := dev.DeferredErases(); n != 0 {
+			t.Errorf("open=%v: %d erases still parked after the replay drained", open, n)
+		}
+	}
+}

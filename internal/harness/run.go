@@ -176,8 +176,7 @@ type Result struct {
 	// them by the simulated makespan — the device-ops-per-simulated-second
 	// speed signal ROADMAP item 1 asks for, deterministic like every other
 	// simulated number. ReplayEvents counts the discrete events the event
-	// loop processed (arrivals, issues, completions, erase commits,
-	// suspend/resume marks) — also
+	// loop processed (arrivals, issues and completions) — also
 	// deterministic — while ReplayWall and WallEventsPerSec measure the
 	// simulator's own host-side speed and are NOT deterministic: equality
 	// comparisons must go through Canonical().
@@ -352,16 +351,10 @@ func Run(spec RunSpec) (Result, error) {
 		*f.Stats() = ftl.Stats{} // measure the trace, not the prefill
 		dev.ResetClocks()        // makespan/latency measure the trace too
 	}
-	// Snapshot the device erase counter so collect reports only trace-era
-	// erases: the FTL stats reset above cannot reach the device counter,
+	// Snapshot the device counters so collect reports only trace-era
+	// deltas: the FTL stats reset above cannot reach the device counters,
 	// and prefill on a tight logical space runs real garbage collection.
-	// Reliability outcomes and the raw read count get the same treatment
-	// so retry rates describe the trace, not the prefill.
-	eraseBase := dev.TotalErases()
-	relBase := dev.ReliabilityStats()
-	readsBase := dev.Stats().Reads.Value()
-	opsBase := readsBase + dev.Stats().Programs.Value() + dev.TotalErases()
-	suspendsBase := dev.Suspends()
+	base := snapshot(dev)
 	rm := NewReplayMetrics()
 	if spec.Tenants > 1 {
 		rm.EnableTenants(spec.Tenants)
@@ -370,7 +363,7 @@ func Run(spec RunSpec) (Result, error) {
 	if err := ReplayQueued(f, gen, rm, opts); err != nil {
 		return Result{}, fmt.Errorf("harness: %s: %w", spec.Name, err)
 	}
-	return collect(spec, f, eraseBase, relBase, readsBase, opsBase, suspendsBase, rm), nil
+	return collect(spec, f, base, rm), nil
 }
 
 // RunAll executes the specs on a pool of parallelism workers and returns
@@ -592,9 +585,8 @@ type ReplayMetrics struct {
 	QueueDelay   *metrics.Histogram // nil skips queue-delay recording
 
 	// Events counts the discrete events the replay's event loop popped
-	// (arrivals, issues, completions, erase commits, suspend/resume
-	// marks) and Wall accumulates
-	// the host wall-clock time the measured replay took. Events is a
+	// (arrivals, issues and completions) and Wall accumulates the host
+	// wall-clock time the measured replay took. Events is a
 	// deterministic property of the simulation; Wall is not — Result
 	// derives WallEventsPerSec from the pair and Canonical() masks the
 	// wall-clock side for equality comparisons.
@@ -723,10 +715,12 @@ type ReplayOptions struct {
 
 // ReplayQueued replays the stream under a host queueing model, as one
 // discrete-event loop over a single time-ordered heap (internal/sched):
-// open-loop arrivals, queue-slot issues, per-request completions,
-// deferred-erase deadline commits and erase suspend/resume marks are all
-// first-class events popped in (time, FIFO) order, so the whole replay
-// is a deterministic fold over one event sequence.
+// open-loop arrivals, queue-slot issues and per-request completions are
+// the only events, popped in (time, FIFO) order, so the whole replay is
+// a deterministic fold over one event sequence. Everything else the
+// device models happens synchronously inside the issuing request:
+// suspensions are booked by the read that preempts, and deferred erases
+// commit in the op-time scan of the next operation on their chip.
 //
 // Closed loop (the default): up to QueueDepth requests are outstanding
 // at once. A pulled request schedules its issue event immediately when a
@@ -752,12 +746,10 @@ type ReplayOptions struct {
 // observing their 0 would drag the read percentiles toward zero on
 // non-prefilled replays.
 //
-// Erases parked by the device's deferral policy register a deadline
-// event through nand.Device.SetDeferralNotify and commit when it pops
-// (an erase the op-time scan already committed makes the event a no-op),
-// so the drain needs no side-channel flush: popping the heap dry IS the
-// drain, and the host clock ends at the last completion — the same
-// instant the classic loop always ended on.
+// When the heap runs dry no later operation will run that scan, so the
+// drain commits every still-parked erase with one
+// nand.Device.FlushDeferredErases call. The host clock ends at the last
+// completion — the same instant the classic loop always ended on.
 //
 // nil m skips measurement and the host model entirely (plain Replay).
 func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOptions) error {
@@ -798,19 +790,6 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 		waiting     bool          // cur found every slot full; next completion issues it
 		popped      uint64
 	)
-	dev.SetDeferralNotify(func(chip int, deadline time.Duration) {
-		events.Push(sched.Event{Time: deadline, Kind: sched.KindEraseCommit, Chip: int32(chip)})
-	})
-	defer dev.SetDeferralNotify(nil)
-	// Suspensions are booked synchronously inside the device (the read's
-	// burst already carries the preempted timing), so their events exist
-	// to put the suspend and resume instants into the replay's total
-	// event order — the popping loop only counts them.
-	dev.SetSuspendNotify(func(chip int, at, resumeAt time.Duration) {
-		events.Push(sched.Event{Time: at, Kind: sched.KindEraseSuspend, Chip: int32(chip)})
-		events.Push(sched.Event{Time: resumeAt, Kind: sched.KindEraseResume, Chip: int32(chip)})
-	})
-	defer dev.SetSuspendNotify(nil)
 
 	// pull fetches the next request and schedules how it enters the
 	// queue: open loop as an arrival event at its trace time, closed loop
@@ -878,23 +857,9 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 				waiting = false
 				events.Push(sched.Event{Time: e.Time, Kind: sched.KindIssue})
 			}
-		case sched.KindEraseCommit:
-			dev.CommitDeferredDeadline(int(e.Chip), e.Time)
-		case sched.KindEraseSuspend, sched.KindEraseResume:
-			// Already booked by the device at suspension time; popped only
-			// so suspensions appear in the replay's event order and count.
-			// Advancing the host issue clock here would be wrong: these
-			// are device-internal instants, not host dispatch points.
 		}
 	}
-	if dev.DeferredErases() > 0 {
-		// Erases parked before this replay began predate the deferral
-		// notify hook and therefore have no deadline events; book them the
-		// way the classic drain always did. Replay-era erases all commit
-		// through their deadline events (or the op-time scan), so on the
-		// normal path the queues are empty and this never runs.
-		dev.FlushDeferredErases()
-	}
+	dev.FlushDeferredErases()
 	m.Events += popped
 	m.Wall += time.Since(wallStart) //flashvet:wallclock — host-speed metric only; Canonical() masks Wall out of determinism comparisons
 	return nil
@@ -919,8 +884,47 @@ func issueRequest(f ftl.FTL, r trace.Request, pageSize int) error {
 	return nil
 }
 
-func collect(spec RunSpec, f ftl.FTL, eraseBase uint64, relBase nand.ReliabilityStats, readsBase, opsBase, suspendsBase uint64, rm *ReplayMetrics) Result {
+// counters is a snapshot of the device's monotone counters. Run takes
+// one after prefill, and collect subtracts it from the end-of-run
+// snapshot, so erases, device ops, suspensions and retry outcomes
+// describe the trace, not the prefill.
+type counters struct {
+	reads, programs, erases, suspends uint64
+	rel                               nand.ReliabilityStats
+}
+
+// snapshot reads the device's counters.
+func snapshot(dev *nand.Device) counters {
+	return counters{
+		reads:    dev.Stats().Reads.Value(),
+		programs: dev.Stats().Programs.Value(),
+		erases:   dev.TotalErases(),
+		suspends: dev.Suspends(),
+		rel:      dev.ReliabilityStats(),
+	}
+}
+
+// sub returns the counts accumulated since base.
+func (c counters) sub(base counters) counters {
+	return counters{
+		reads:    c.reads - base.reads,
+		programs: c.programs - base.programs,
+		erases:   c.erases - base.erases,
+		suspends: c.suspends - base.suspends,
+		rel: nand.ReliabilityStats{
+			Retried:       c.rel.Retried - base.rel.Retried,
+			Steps:         c.rel.Steps - base.rel.Steps,
+			Uncorrectable: c.rel.Uncorrectable - base.rel.Uncorrectable,
+			Retired:       c.rel.Retired - base.rel.Retired,
+		},
+	}
+}
+
+func collect(spec RunSpec, f ftl.FTL, base counters, rm *ReplayMetrics) Result {
 	st := f.Stats()
+	dev := f.Device()
+	total := snapshot(dev)
+	delta := total.sub(base)
 	res := Result{
 		Name:          spec.Name,
 		Kind:          spec.Kind,
@@ -929,7 +933,7 @@ func collect(spec RunSpec, f ftl.FTL, eraseBase uint64, relBase nand.Reliability
 		HostReadPages: st.HostReads.Value(),
 		HostWritePage: st.HostWrites.Value(),
 		UnmappedReads: st.UnmappedReads.Value(),
-		Erases:        f.Device().TotalErases() - eraseBase,
+		Erases:        delta.erases,
 		GCCopies:      st.GCCopies.Value(),
 		WAF:           st.WAF(),
 	}
@@ -945,10 +949,9 @@ func collect(spec RunSpec, f ftl.FTL, eraseBase uint64, relBase nand.Reliability
 			res.QueueDelayP95 = rm.QueueDelay.Quantile(0.95)
 			res.QueueDelayP99 = rm.QueueDelay.Quantile(0.99)
 		}
-		res.Makespan = f.Device().Makespan()
-		res.Suspends = f.Device().Suspends() - suspendsBase
-		ds := f.Device().Stats()
-		res.DeviceOps = ds.Reads.Value() + ds.Programs.Value() + f.Device().TotalErases() - opsBase
+		res.Makespan = dev.Makespan()
+		res.Suspends = delta.suspends
+		res.DeviceOps = delta.reads + delta.programs + delta.erases
 		if s := res.Makespan.Seconds(); s > 0 {
 			res.SimOpsPerSec = float64(res.DeviceOps) / s
 		}
@@ -967,13 +970,13 @@ func collect(spec RunSpec, f ftl.FTL, eraseBase uint64, relBase nand.Reliability
 	if reads := st.FastReads.Value() + st.SlowReads.Value(); reads > 0 {
 		res.FastReadShare = float64(st.FastReads.Value()) / float64(reads)
 	}
-	if rs := f.Device().ReliabilityStats(); rs != (nand.ReliabilityStats{}) {
-		res.RetriedReads = rs.Retried - relBase.Retried
-		res.RetrySteps = rs.Steps - relBase.Steps
-		res.UncorrectableReads = rs.Uncorrectable - relBase.Uncorrectable
-		res.RetiredBlocks = rs.Retired
-		if reads := f.Device().Stats().Reads.Value() - readsBase; reads > 0 {
-			res.RetryRate = float64(res.RetriedReads) / float64(reads)
+	if total.rel != (nand.ReliabilityStats{}) {
+		res.RetriedReads = delta.rel.Retried
+		res.RetrySteps = delta.rel.Steps
+		res.UncorrectableReads = delta.rel.Uncorrectable
+		res.RetiredBlocks = total.rel.Retired // cumulative: capacity lost, prefill included
+		if delta.reads > 0 {
+			res.RetryRate = float64(res.RetriedReads) / float64(delta.reads)
 		}
 		if res.RetriedReads > 0 {
 			res.MeanRetrySteps = float64(res.RetrySteps) / float64(res.RetriedReads)

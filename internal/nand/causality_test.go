@@ -260,100 +260,6 @@ func TestEraseForceDoubleDeferral(t *testing.T) {
 	}
 }
 
-// TestDeferralNotify: parking an erase fires the deferral hook with the
-// chip and the commit deadline (arm + window) — the event the replay's
-// scheduler turns into a KindEraseCommit entry. Clearing the hook stops
-// the callbacks; an immediate (non-deferred) erase never fires it.
-func TestDeferralNotify(t *testing.T) {
-	d, _ := deferTestDevice(t, time.Second)
-	type park struct {
-		chip     int
-		deadline time.Duration
-	}
-	var got []park
-	d.SetDeferralNotify(func(chip int, deadline time.Duration) {
-		got = append(got, park{chip, deadline})
-	})
-	if _, err := d.EraseForce(0); err != nil {
-		t.Fatal(err)
-	}
-	// The erase is issued at now = 0, so its deadline is the window.
-	if len(got) != 1 || got[0] != (park{0, time.Second}) {
-		t.Fatalf("notify calls = %+v, want one {chip 0, deadline 1s}", got)
-	}
-	d.SetDeferralNotify(nil)
-	if _, err := d.EraseForce(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("notify fired after being cleared: %+v", got)
-	}
-}
-
-// TestCommitDeferredDeadlineNoDoubleBooking is the replay-drain audit
-// regression: the deadline-event commit path and the device's own
-// op-time must-commit scan share one queue, so an erase books exactly
-// once no matter which path reaches it first — a stale deadline event
-// arriving after the op-time scan already committed the erase must not
-// move the chip clock again.
-func TestCommitDeferredDeadlineNoDoubleBooking(t *testing.T) {
-	d, cfg := deferTestDevice(t, time.Second)
-	busy := d.ChipFree(0)
-	if _, err := d.EraseForce(0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Before the deadline the event commits nothing.
-	d.CommitDeferredDeadline(0, time.Second/2)
-	if got := d.DeferredErases(); got != 1 {
-		t.Fatalf("early deadline event committed the erase (%d pending, want 1)", got)
-	}
-	if got := d.ChipFree(0); got != busy {
-		t.Fatalf("early deadline event moved chip free to %v, want %v", got, busy)
-	}
-
-	// At the deadline it books at max(chip free, arm) — the chip is
-	// still busy, so directly behind the queued work.
-	d.CommitDeferredDeadline(0, time.Second)
-	if got := d.DeferredErases(); got != 0 {
-		t.Fatalf("deadline event left %d erases pending, want 0", got)
-	}
-	if got, want := d.ChipFree(0), busy+cfg.EraseLatency; got != want {
-		t.Fatalf("deadline commit booked at %v, want %v", got, want)
-	}
-
-	// A duplicate (stale) event for the same deadline is a no-op.
-	free := d.ChipFree(0)
-	d.CommitDeferredDeadline(0, time.Second)
-	if got := d.ChipFree(0); got != free {
-		t.Fatalf("stale deadline event double-booked: chip free %v, want %v", got, free)
-	}
-
-	// Race the other way: the op-time scan (block reuse) commits first,
-	// then the erase's deadline event arrives. Still exactly one booking.
-	if _, err := d.EraseForce(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Program(cfg.PPNForBlockPage(0, 0), OOB{LPN: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.DeferredErases(); got != 0 {
-		t.Fatalf("block reuse left %d erases pending, want 0", got)
-	}
-	free = d.ChipFree(0)
-	d.CommitDeferredDeadline(0, time.Second)
-	if got := d.ChipFree(0); got != free {
-		t.Fatalf("deadline event after op-time commit double-booked: chip free %v, want %v", got, free)
-	}
-	if got := d.Stats().Erases.Value(); got != 2 {
-		t.Fatalf("erase stats = %d, want exactly 2 (one per issue)", got)
-	}
-
-	// Out-of-range chips are ignored, not crashed on.
-	d.CommitDeferredDeadline(-1, time.Second)
-	d.CommitDeferredDeadline(99, time.Second)
-}
-
 // TestEraseDeferralDisabledUnchanged: with no deferral window the erase
 // occupies the chip immediately, exactly as before the queue existed.
 func TestEraseDeferralDisabledUnchanged(t *testing.T) {

@@ -111,10 +111,15 @@ type DeviceStats struct {
 // host operations are scheduled ahead of it — and is committed when the
 // chip next goes idle, when its deferral deadline passes, or when an
 // operation targets the (already reallocated) block, whichever comes
-// first. Block contents, stats and the returned cost are unaffected;
-// only the time booking moves. FlushDeferredErases commits everything
-// still pending (the harness calls it before reading the makespan), and
-// Makespan folds still-parked erases in so it never understates.
+// first. Every commit happens in the op-time scan of the next operation
+// scheduled on the chip (commitEligible): a commit books at max(plane
+// free, arm time) whenever it runs, and every operation runs the scan
+// before it books, so committing any earlier would change nothing.
+// FlushDeferredErases commits whatever is still pending once no later
+// operation will come (the harness calls it when a replay drains), and
+// Makespan folds still-parked erases in so it never understates. Block
+// contents, stats and the returned cost are unaffected; only the time
+// booking moves.
 //
 // # Intra-chip parallelism
 //
@@ -171,24 +176,19 @@ type Device struct {
 	// Suspend-resume state (see SetSuspend): the active policy and its
 	// costs, the per-plane in-flight op records reads probe for a
 	// preemption target (nil while SuspendOff), the monotone suspension
-	// counter, its per-block breakdown (nil while SuspendOff; monotone
-	// like suspends — ResetClocks leaves both alone), and the
-	// event-replay hook told about every suspension.
-	suspendPol    SuspendPolicy
-	suspendCost   time.Duration
-	resumeCost    time.Duration
-	inflight      []inflightOp
-	suspends      uint64
-	suspendCnt    []uint32
-	suspendNotify func(chip int, at, resumeAt time.Duration)
+	// counter and its per-block breakdown (nil while SuspendOff;
+	// monotone like suspends — ResetClocks leaves both alone).
+	suspendPol  SuspendPolicy
+	suspendCost time.Duration
+	resumeCost  time.Duration
+	inflight    []inflightOp
+	suspends    uint64
+	suspendCnt  []uint32
 
 	// Deferred-erase state (see SetEraseDeferral): deferWindow > 0
-	// enables deferral, deferred[c] is chip c's FIFO of pending erases,
-	// deferNotify (when set) is told about every newly parked erase so an
-	// event-driven replay can schedule its deadline commit.
+	// enables deferral, deferred[c] is chip c's FIFO of pending erases.
 	deferWindow time.Duration
 	deferred    [][]deferredErase
-	deferNotify func(chip int, deadline time.Duration)
 
 	// Reliability model state (nil when disabled — see SetReliability)
 	// and the incrementally-maintained highest per-block erase count.
@@ -364,8 +364,7 @@ func (d *Device) After(t time.Duration) {
 // booking — contents are erased and stats counted immediately — so
 // space accounting never lies.
 //
-// Disabling (window <= 0) flushes any still-parked erases first: with no
-// window there is no deadline event left to commit them, and leaving
+// Disabling (window <= 0) flushes any still-parked erases first: leaving
 // them queued would silently understate the makespan until some later op
 // happened to touch their chip.
 func (d *Device) SetEraseDeferral(window time.Duration) {
@@ -391,42 +390,11 @@ func (d *Device) DeferredErases() int {
 	return n
 }
 
-// SetDeferralNotify registers fn to be called whenever an erase is
-// parked in a deferred queue, with the chip it parked on and the
-// deadline by which it must commit. An event-driven replay uses the hook
-// to schedule a deadline-commit event (see internal/sched) instead of
-// flushing blindly at drain; pass nil to unregister. The callback fires
-// synchronously inside Erase, so it must not call back into the device.
-func (d *Device) SetDeferralNotify(fn func(chip int, deadline time.Duration)) {
-	d.deferNotify = fn
-}
-
-// CommitDeferredDeadline books the chip's deferred erases whose deadline
-// has passed at now, in FIFO order, each starting at max(chip free, its
-// arm time) — exactly the booking commitEligible's deadline branch or
-// FlushDeferredErases would produce. The event loop calls it when a
-// deadline event pops; an erase the op-time scan already committed is
-// simply no longer queued, so stale events are harmless no-ops.
-func (d *Device) CommitDeferredDeadline(chip int, now time.Duration) {
-	if d.deferred == nil || chip < 0 || chip >= len(d.deferred) {
-		return
-	}
-	q := d.deferred[chip]
-	n := 0
-	for n < len(q) && q[n].deadline <= now {
-		d.bookDeferred(chip, q[n])
-		n++
-	}
-	if n > 0 {
-		d.deferred[chip] = q[:copy(q, q[n:])]
-	}
-}
-
 // bookDeferred books one deferred erase on its chip, starting at
-// max(plane free, its arm time) — the single booking rule all three
-// commit paths (op-time scan, deadline event, drain flush) share. On a
-// single-plane device this is exactly max(chip free, arm). The booked
-// erase is recorded as in-flight so a read can still suspend it.
+// max(plane free, its arm time) — the single booking rule the op-time
+// scan and the drain flush share. On a single-plane device this is
+// exactly max(chip free, arm). The booked erase is recorded as in-flight
+// so a read can still suspend it.
 //
 //flashvet:hotpath
 func (d *Device) bookDeferred(chip int, e deferredErase) {
@@ -438,10 +406,9 @@ func (d *Device) bookDeferred(chip int, e deferredErase) {
 }
 
 // FlushDeferredErases commits every pending deferred erase at its chip's
-// current free time. The harness calls it when an unmeasured replay
-// drains, so the makespan accounts for erase work that never found an
-// idle gap; the measured event loop instead commits per-deadline events
-// (CommitDeferredDeadline) and needs no drain-time flush.
+// current free time. The harness calls it when a replay drains: with no
+// later operation to run the op-time scan, this is the only way erase
+// work that never found an idle gap reaches the timeline.
 func (d *Device) FlushDeferredErases() {
 	for chip := range d.deferred {
 		for _, e := range d.deferred[chip] {
@@ -781,9 +748,6 @@ func (d *Device) eraseBlock(b BlockID, blk *blockState) time.Duration {
 		d.deferred[chip] = append(d.deferred[chip], deferredErase{
 			block: b, cost: d.cfg.EraseLatency, arm: arm, deadline: arm + d.deferWindow,
 		})
-		if d.deferNotify != nil {
-			d.deferNotify(chip, arm+d.deferWindow)
-		}
 	} else {
 		d.schedule(b, d.cfg.EraseLatency, opErase)
 	}

@@ -132,10 +132,6 @@ func TestSuspendEraseByRead(t *testing.T) {
 	const sc, rc = 25 * time.Microsecond, 30 * time.Microsecond
 	d := MustNewDevice(testConfig())
 	d.SetSuspend(SuspendErase, sc, rc)
-	var notified []time.Duration
-	d.SetSuspendNotify(func(chip int, at, resumeAt time.Duration) {
-		notified = append(notified, time.Duration(chip), at, resumeAt)
-	})
 	eraseStart, eraseFin, readable := suspendSetup(t, d)
 	issue := eraseStart + (eraseFin-eraseStart)/2
 	d.AdvanceTo(issue)
@@ -156,10 +152,6 @@ func TestSuspendEraseByRead(t *testing.T) {
 	}
 	if got := d.Suspends(); got != 1 {
 		t.Errorf("suspends = %d, want 1", got)
-	}
-	want := []time.Duration{0, issue, resumeAt}
-	if len(notified) != 3 || notified[0] != want[0] || notified[1] != want[1] || notified[2] != want[2] {
-		t.Errorf("suspend notify got %v, want %v", notified, want)
 	}
 }
 
@@ -239,7 +231,7 @@ func TestSuspendCommittedDeferredErase(t *testing.T) {
 	if d.DeferredErases() != 1 {
 		t.Fatal("setup: erase was not parked")
 	}
-	d.CommitDeferredDeadline(0, time.Hour)
+	d.FlushDeferredErases()
 	eraseFin := d.ChipFree(0)
 	issue := busy + (eraseFin-busy)/2
 	d.AdvanceTo(issue)
@@ -247,7 +239,7 @@ func TestSuspendCommittedDeferredErase(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := d.LastStart(), issue+sc; got != want {
-		t.Errorf("read of a deadline-committed erase started at %v, want suspension at %v", got, want)
+		t.Errorf("read of a flush-committed erase started at %v, want suspension at %v", got, want)
 	}
 	if got := d.Suspends(); got != 1 {
 		t.Errorf("suspends = %d, want 1", got)
@@ -347,46 +339,30 @@ func TestBurstZeroTimeValid(t *testing.T) {
 	}
 }
 
-// TestDeferredCommitPathEquivalence is the randomized property test the
-// suspend machinery builds on: over arbitrary interleavings of
-// programs, reads, erases, dependency floors and clock advances, a
-// device whose deferred erases commit only through the op-time scan
-// (commitEligible) and a device that additionally fires its deadline
-// events through CommitDeferredDeadline — the way the event-driven
-// replay does — must produce identical per-chip timelines.
+// TestDeferredCommitPathEquivalence is the randomized property test of
+// the one deferred-erase commit rule the suspend machinery builds on.
+// Over arbitrary interleavings of programs, reads, erases, dependency
+// floors and clock advances, the op-time scan (commitEligible) never
+// lets an operation book behind an erase whose deadline it has reached:
+// after every program or read, the head of that chip's deferred queue
+// (if any) has a deadline later than the op's issue time. Committing a
+// due erase any earlier — as a deadline event would — therefore cannot
+// change a timeline. At drain, FlushDeferredErases empties every queue
+// and books exactly the makespan Makespan already folded in.
 func TestDeferredCommitPathEquivalence(t *testing.T) {
-	type deadline struct {
-		chip int
-		at   time.Duration
-	}
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
 		cfg := twoChipConfig()
-		window := time.Duration(rng.Intn(20)+1) * time.Millisecond
-		scan := MustNewDevice(cfg)
-		scan.SetEraseDeferral(window)
-		event := MustNewDevice(cfg)
-		event.SetEraseDeferral(window)
-		var pending []deadline
-		event.SetDeferralNotify(func(chip int, at time.Duration) {
-			pending = append(pending, deadline{chip, at})
-		})
+		d := MustNewDevice(cfg)
+		d.SetEraseDeferral(time.Duration(rng.Intn(20)+1) * time.Millisecond)
 
-		// fire delivers due deadline events in time order, the way the
-		// event heap would pop them before any later-issued operation.
-		fire := func(now time.Duration) {
-			for len(pending) > 0 {
-				min := 0
-				for i := 1; i < len(pending); i++ {
-					if pending[i].at < pending[min].at {
-						min = i
-					}
-				}
-				if pending[min].at > now {
-					return
-				}
-				event.CommitDeferredDeadline(pending[min].chip, pending[min].at)
-				pending = append(pending[:min], pending[min+1:]...)
+		// checkHead asserts the scan left no due erase at the head of the
+		// queue of the chip an op issued at issue just ran on.
+		checkHead := func(step int, b BlockID, issue time.Duration) {
+			chip := int(b) / cfg.BlocksPerChip
+			if q := d.deferred[chip]; len(q) > 0 && q[0].deadline <= issue {
+				t.Fatalf("trial %d step %d: chip %d queue head deadline %v not after op issue %v",
+					trial, step, chip, q[0].deadline, issue)
 			}
 		}
 
@@ -401,63 +377,40 @@ func TestDeferredCommitPathEquivalence(t *testing.T) {
 				}
 				ppn := cfg.PPNForBlockPage(b, nextPage[b])
 				nextPage[b]++
-				fire(now)
-				if _, err := scan.Program(ppn, OOB{LPN: uint64(step)}); err != nil {
+				if _, err := d.Program(ppn, OOB{LPN: uint64(step)}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := event.Program(ppn, OOB{LPN: uint64(step)}); err != nil {
-					t.Fatal(err)
-				}
+				checkHead(step, b, now)
 			case 2: // read a programmed page
 				b := BlockID(rng.Intn(cfg.TotalBlocks()))
 				if nextPage[b] == 0 {
 					continue
 				}
-				ppn := cfg.PPNForBlockPage(b, rng.Intn(nextPage[b]))
-				fire(now)
-				if _, _, err := scan.Read(ppn); err != nil {
+				if _, _, err := d.Read(cfg.PPNForBlockPage(b, rng.Intn(nextPage[b]))); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := event.Read(ppn); err != nil {
-					t.Fatal(err)
-				}
+				checkHead(step, b, now)
 			case 3: // erase a random block (parked while the chip is busy)
 				b := BlockID(rng.Intn(cfg.TotalBlocks()))
 				if rng.Intn(2) == 0 {
-					floor := now + time.Duration(rng.Intn(2000))*time.Microsecond
-					scan.After(floor)
-					event.After(floor)
+					d.After(now + time.Duration(rng.Intn(2000))*time.Microsecond)
 				}
-				fire(now)
-				if _, err := scan.EraseForce(b); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := event.EraseForce(b); err != nil {
+				if _, err := d.EraseForce(b); err != nil {
 					t.Fatal(err)
 				}
 				nextPage[b] = 0
 			default: // advance the host clock into (or past) idle gaps
 				now += time.Duration(rng.Intn(4000)) * time.Microsecond
-				fire(now)
-				scan.AdvanceTo(now)
-				event.AdvanceTo(now)
-			}
-			if scan.DeferredErases() < event.DeferredErases() {
-				t.Fatalf("trial %d step %d: scan has %d parked erases, event-driven %d — events may only commit earlier",
-					trial, step, scan.DeferredErases(), event.DeferredErases())
+				d.AdvanceTo(now)
 			}
 		}
-		scan.FlushDeferredErases()
-		event.SetDeferralNotify(nil)
-		event.FlushDeferredErases()
-		for chip := 0; chip < cfg.Chips; chip++ {
-			if scan.ChipFree(chip) != event.ChipFree(chip) {
-				t.Fatalf("trial %d: chip %d timelines diverge: scan %v, event-driven %v",
-					trial, chip, scan.ChipFree(chip), event.ChipFree(chip))
-			}
+		makespan := d.Makespan()
+		d.FlushDeferredErases()
+		if n := d.DeferredErases(); n != 0 {
+			t.Fatalf("trial %d: %d erases still parked after flush", trial, n)
 		}
-		if scan.Makespan() != event.Makespan() {
-			t.Fatalf("trial %d: makespan %v != %v", trial, scan.Makespan(), event.Makespan())
+		if got := d.Makespan(); got != makespan {
+			t.Fatalf("trial %d: flush moved makespan from %v to %v", trial, makespan, got)
 		}
 	}
 }

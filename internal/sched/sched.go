@@ -1,16 +1,10 @@
 // Package sched provides the discrete-event core of the simulator: one
 // time-ordered event heap that carries every future occurrence a replay
-// must react to — host arrivals, queue-slot issues, per-chip operation
-// completions, and deferred-erase commits — as first-class events.
-//
-// Before this package existed the replay loop interleaved three ad-hoc
-// mechanisms: a private completion min-heap in the harness, arrival
-// handling spliced into the loop body, and a deferred-erase commit scan
-// buried in the device that only ran when the harness remembered to
-// flush at drain. The single heap replaces all three with one total
-// order: events pop in non-decreasing Time, and events at equal Time
-// pop in push (FIFO) order, so a replay is a deterministic fold over the
-// event sequence at any host parallelism.
+// must react to — host arrivals, queue-slot issues and per-request
+// completions — as first-class events. Events pop in non-decreasing
+// Time, and events at equal Time pop in push (FIFO) order, so a replay
+// is a deterministic fold over the event sequence at any host
+// parallelism.
 //
 // The heap is a plain slice of small value records — no interface
 // boxing, no per-event allocation. Once the backing array has grown to
@@ -36,18 +30,6 @@ const (
 	// KindCompletion marks an outstanding request's last device
 	// operation finishing, freeing its queue slot.
 	KindCompletion
-	// KindEraseCommit marks a deferred erase's deadline: the moment the
-	// device must book the erase if no earlier idle gap or block reuse
-	// already committed it.
-	KindEraseCommit
-	// KindEraseSuspend marks a read preempting an in-flight erase or
-	// program (see nand.Device.SetSuspend). The device books the
-	// preemption synchronously; the event records it in the replay's
-	// total order for accounting and tracing.
-	KindEraseSuspend
-	// KindEraseResume marks the moment a suspended operation's remainder
-	// restarts after the preempting read and the resume cost.
-	KindEraseResume
 )
 
 // String returns the kind name.
@@ -59,21 +41,13 @@ func (k Kind) String() string {
 		return "issue"
 	case KindCompletion:
 		return "completion"
-	case KindEraseCommit:
-		return "erase-commit"
-	case KindEraseSuspend:
-		return "erase-suspend"
-	case KindEraseResume:
-		return "erase-resume"
 	default:
 		return "Kind(?)"
 	}
 }
 
 // Event is one scheduled occurrence. Events are small value records so a
-// heap of them stays pointer-free; Chip carries the target chip for
-// erase commits and is free for other kinds to repurpose (the heap never
-// reads it).
+// heap of them stays pointer-free.
 type Event struct {
 	// Time is when the event occurs on the simulated clock.
 	Time time.Duration
@@ -82,8 +56,6 @@ type Event struct {
 	seq uint64
 	// Kind labels the event for the popping loop's dispatch.
 	Kind Kind
-	// Chip is the chip an erase-commit event targets.
-	Chip int32
 }
 
 // Queue is the time-ordered event heap: Pop returns events in
@@ -128,12 +100,6 @@ func (q *Queue) Push(e Event) {
 	q.heap = h
 }
 
-// Min returns the earliest pending event without removing it (q must be
-// non-empty).
-//
-//flashvet:hotpath
-func (q *Queue) Min() Event { return q.heap[0] }
-
 // Pop removes and returns the earliest pending event (q must be
 // non-empty). Among equal times, events pop in push order.
 //
@@ -162,9 +128,3 @@ func (q *Queue) Pop() Event {
 	q.heap = h
 	return min
 }
-
-// Reset discards all pending events but keeps the backing array, so a
-// reused queue stays allocation-free. The FIFO sequence counter is NOT
-// reset: sequences only ever grow, which keeps the tie-break total even
-// across reuse.
-func (q *Queue) Reset() { q.heap = q.heap[:0] }

@@ -7,19 +7,19 @@ import (
 	"time"
 )
 
+// numKinds is the number of event kinds the replay multiplexes.
+const numKinds = 3
+
 // TestQueueOrdersByTime pins the basic heap contract: events pop in
 // non-decreasing Time regardless of push order.
 func TestQueueOrdersByTime(t *testing.T) {
 	var q Queue
 	times := []time.Duration{50, 10, 40, 10, 30, 0, 20, 50, 10}
-	for i, d := range times {
-		q.Push(Event{Time: d, Kind: KindCompletion, Chip: int32(i)})
+	for _, d := range times {
+		q.Push(Event{Time: d, Kind: KindCompletion})
 	}
 	if q.Len() != len(times) {
 		t.Fatalf("Len() = %d, want %d", q.Len(), len(times))
-	}
-	if min := q.Min(); min.Time != 0 {
-		t.Fatalf("Min().Time = %v, want 0", min.Time)
 	}
 	prev := time.Duration(-1)
 	for q.Len() > 0 {
@@ -39,12 +39,13 @@ func TestQueueFIFOAmongEqualTimes(t *testing.T) {
 	var q Queue
 	const n = 100
 	for i := 0; i < n; i++ {
-		q.Push(Event{Time: 7, Kind: KindIssue, Chip: int32(i)})
+		q.Push(Event{Time: 7, Kind: Kind(i % numKinds)})
 	}
 	for i := 0; i < n; i++ {
 		e := q.Pop()
-		if e.Chip != int32(i) {
-			t.Fatalf("equal-time event %d popped out of push order (got push index %d)", i, e.Chip)
+		if e.seq != uint64(i) || e.Kind != Kind(i%numKinds) {
+			t.Fatalf("equal-time pop %d = {seq %d, %v}, want {seq %d, %v}",
+				i, e.seq, e.Kind, i, Kind(i%numKinds))
 		}
 	}
 }
@@ -54,108 +55,80 @@ func TestQueueFIFOAmongEqualTimes(t *testing.T) {
 // pushes at that time.
 func TestQueueInterleavedPushPop(t *testing.T) {
 	var q Queue
-	q.Push(Event{Time: 5, Chip: 0})
-	q.Push(Event{Time: 5, Chip: 1})
-	if e := q.Pop(); e.Chip != 0 {
-		t.Fatalf("first pop = push index %d, want 0", e.Chip)
+	q.Push(Event{Time: 5, Kind: KindArrival})
+	q.Push(Event{Time: 5, Kind: KindIssue})
+	if e := q.Pop(); e.Kind != KindArrival {
+		t.Fatalf("first pop = %v, want %v", e.Kind, KindArrival)
 	}
-	q.Push(Event{Time: 5, Chip: 2})
-	q.Push(Event{Time: 3, Chip: 3})
-	want := []int32{3, 1, 2}
+	q.Push(Event{Time: 5, Kind: KindCompletion})
+	q.Push(Event{Time: 3, Kind: KindArrival})
+	want := []Event{{Time: 3, Kind: KindArrival}, {Time: 5, Kind: KindIssue}, {Time: 5, Kind: KindCompletion}}
 	for i, w := range want {
-		if e := q.Pop(); e.Chip != w {
-			t.Fatalf("pop %d = push index %d, want %d", i, e.Chip, w)
+		if e := q.Pop(); e.Time != w.Time || e.Kind != w.Kind {
+			t.Fatalf("pop %d = {t=%v %v}, want {t=%v %v}", i, e.Time, e.Kind, w.Time, w.Kind)
 		}
 	}
 }
 
-// TestQueueResetKeepsFIFOTotal pins Reset's contract: pending events
-// are dropped, the backing array survives, and the sequence counter
-// keeps growing so the tie-break stays total across reuse.
-func TestQueueResetKeepsFIFOTotal(t *testing.T) {
+// checkAgainstStableSort pushes events into a fresh queue and checks the
+// pop sequence against a stable sort of the pushed events by Time —
+// exactly the "non-decreasing Time, FIFO among equal" contract, checked
+// on a reference implementation. The reference carries each event's push
+// index in seq, so the comparison also witnesses push order among
+// equal-time events of the same kind.
+func checkAgainstStableSort(t *testing.T, events []Event) {
+	t.Helper()
 	var q Queue
-	for i := 0; i < 8; i++ {
-		q.Push(Event{Time: 1, Chip: int32(i)})
+	for i := range events {
+		q.Push(events[i])
+		events[i].seq = uint64(i)
 	}
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Len() after Reset = %d, want 0", q.Len())
+	if q.Len() != len(events) {
+		t.Fatalf("Len() = %d after %d pushes", q.Len(), len(events))
 	}
-	for i := 0; i < 4; i++ {
-		q.Push(Event{Time: 1, Chip: int32(100 + i)})
-	}
-	for i := 0; i < 4; i++ {
-		if e := q.Pop(); e.Chip != int32(100+i) {
-			t.Fatalf("post-Reset pop %d = push index %d, want %d", i, e.Chip, 100+i)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	for i, want := range events {
+		if got := q.Pop(); got != want {
+			t.Fatalf("pop %d = {t=%v %v seq %d}, want {t=%v %v seq %d}",
+				i, got.Time, got.Kind, got.seq, want.Time, want.Kind, want.seq)
 		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%d events left after popping all", q.Len())
 	}
 }
 
 // TestQueueMatchesStableSort is the property test: against randomized
-// push sequences, the pop order must equal a stable sort of the pushed
-// events by Time — exactly the "non-decreasing Time, FIFO among equal"
-// contract, checked on a reference implementation.
+// push sequences, the popped (Time, Kind) sequence must equal the
+// stable-sorted reference.
 func TestQueueMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
 		spread := 1 + rng.Intn(20) // small spread forces many ties
 		events := make([]Event, n)
-		var q Queue
 		for i := range events {
-			e := Event{
-				Time: time.Duration(rng.Intn(spread)),
-				Kind: Kind(rng.Intn(4)),
-				Chip: int32(i),
-			}
-			events[i] = e
-			q.Push(e)
+			events[i] = Event{Time: time.Duration(rng.Intn(spread)), Kind: Kind(rng.Intn(numKinds))}
 		}
-		sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
-		for i, want := range events {
-			got := q.Pop()
-			if got.Time != want.Time || got.Chip != want.Chip || got.Kind != want.Kind {
-				t.Fatalf("trial %d pop %d = {t=%v chip=%d kind=%v}, want {t=%v chip=%d kind=%v}",
-					trial, i, got.Time, got.Chip, got.Kind, want.Time, want.Chip, want.Kind)
-			}
-		}
-		if q.Len() != 0 {
-			t.Fatalf("trial %d: %d events left after popping all", trial, q.Len())
-		}
+		checkAgainstStableSort(t, events)
 	}
 }
 
 // FuzzEventHeap feeds arbitrary byte strings to the heap as push
-// sequences and checks the two invariants every replay depends on:
-// pop times never decrease, and among equal times the push order is
-// preserved (Chip carries the push index as the witness).
+// sequences — each byte one event, its time b/numKinds and its kind
+// b%numKinds — and checks the popped sequence against the stable-sorted
+// reference, the two invariants every replay depends on: pop times
+// never decrease, and among equal times the push order is preserved.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{5, 1, 5, 1, 5})
 	f.Add([]byte{255, 0, 128, 0, 255, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var q Queue
+		events := make([]Event, len(data))
 		for i, b := range data {
-			q.Push(Event{Time: time.Duration(b), Kind: Kind(b % 4), Chip: int32(i)})
+			events[i] = Event{Time: time.Duration(b / numKinds), Kind: Kind(b % numKinds)}
 		}
-		if q.Len() != len(data) {
-			t.Fatalf("Len() = %d after %d pushes", q.Len(), len(data))
-		}
-		prevTime := time.Duration(-1)
-		prevSeqAt := int32(-1) // push index of the previous pop at prevTime
-		for q.Len() > 0 {
-			e := q.Pop()
-			if e.Time < prevTime {
-				t.Fatalf("time went backwards: %v after %v", e.Time, prevTime)
-			}
-			if e.Time == prevTime && e.Chip <= prevSeqAt {
-				t.Fatalf("FIFO violated at t=%v: push index %d popped after %d", e.Time, e.Chip, prevSeqAt)
-			}
-			if time.Duration(data[e.Chip]) != e.Time {
-				t.Fatalf("event corrupted: push index %d had time %d, popped with %v", e.Chip, data[e.Chip], e.Time)
-			}
-			prevTime, prevSeqAt = e.Time, e.Chip
-		}
+		checkAgainstStableSort(t, events)
 	})
 }
