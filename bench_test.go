@@ -143,7 +143,8 @@ func BenchmarkAblationLayers(b *testing.B) {
 
 // benchPageOps runs the shared page-op loop (NewPageOpsFTL/RunPageOps —
 // the same pair ppbench -json measures) under the Go benchmark harness.
-// Both benchmarks must stay at 0 allocs/op; CI smoke-checks this.
+// Every page-op benchmark must stay at 0 allocs/op; CI smoke-checks
+// this, and TestPageOpsAllocFree pins it exactly.
 func benchPageOps(b *testing.B, kind FTLKind) {
 	b.Helper()
 	f, err := NewPageOpsFTL(kind)
@@ -166,6 +167,42 @@ func BenchmarkDevicePageOps(b *testing.B) { benchPageOps(b, KindConventional) }
 // BenchmarkDevicePageOps: the per-operation bookkeeping overhead of the
 // four-level identification and virtual-block allocation.
 func BenchmarkPPBPageOps(b *testing.B) { benchPageOps(b, KindPPB) }
+
+// BenchmarkGreedySpeedPageOps runs the page-op loop under the Figure 3
+// strawman: tag-driven fast/slow placement with its spill between the
+// two halves of one block.
+func BenchmarkGreedySpeedPageOps(b *testing.B) { benchPageOps(b, KindGreedySpeed) }
+
+// BenchmarkHotColdSplitPageOps runs the page-op loop under plain
+// hot/cold block separation.
+func BenchmarkHotColdSplitPageOps(b *testing.B) { benchPageOps(b, KindHotColdSplit) }
+
+// TestPageOpsAllocFree pins the page-op loop of every strategy at
+// exactly zero allocations in steady state. The benchmarks' integer
+// allocs/op rounds a leak below one allocation per op down to 0, so
+// this counts whole batches instead. The loop never relocates a valid
+// page, so it covers host placement and erase-only GC.
+func TestPageOpsAllocFree(t *testing.T) {
+	for _, kind := range []FTLKind{KindConventional, KindPPB, KindGreedySpeed, KindHotColdSplit} {
+		t.Run(string(kind), func(t *testing.T) {
+			f, err := NewPageOpsFTL(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := RunPageOps(f, 200000); err != nil { // warm up into GC steady state
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := RunPageOps(f, 20000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocations per 20000 page ops, want 0", allocs)
+			}
+		})
+	}
+}
 
 // BenchmarkReliabilityPageOps runs the same loop with the layer-aware
 // reliability model injecting read retries (high-BER preset, wear-aware

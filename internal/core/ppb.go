@@ -20,7 +20,11 @@
 // Crucially, PPB is *progressive*: identifying data as iron-hot (or
 // cold) never triggers an immediate copy. Data migrates to a page of the
 // right speed only when it is rewritten by the host or relocated by GC,
-// so the strategy adds no write or GC overhead of its own (§4.2).
+// so the strategy adds no write or GC overhead of its own (§4.2). The
+// code mirrors this: PPB supplies only an ftl.Placement (host placement,
+// GC relocation, open-VB exclusion and a slow-first relocation order),
+// and ftl.Base runs the host write path and garbage collection around
+// it exactly as for the baselines.
 //
 // On multi-chip devices PPB inherits chip placement from the
 // virtual-block manager's dispatch policy: by default each pool's
@@ -184,13 +188,7 @@ type PPB struct {
 	open   [numPools][2]vblock.VB // open VB per pool and speed (0 slow, 1 fast)
 	isOpen [numPools][2]bool
 
-	// GC callbacks bound once at construction (see New).
-	excludeFn   func(nand.BlockID) bool
-	reprogramFn ftl.ReprogramFunc
-	slowFirstFn func(nand.OOB) bool
-
 	writeSeq uint64
-	inGC     bool
 	ppbStats Stats
 }
 
@@ -245,33 +243,25 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	// a hot/cold affinity dispatch the bulk/library/dark cold pools (and
 	// their GC erases) stay off the hot chips.
 	vbm.MarkHotPools(poolHotHost, poolHotGC)
-	base, err := ftl.NewBase(dev, vbm, opt.FTL)
+	p := &PPB{vbm: vbm}
+	p.Base, err = ftl.NewBase(dev, vbm, opt.FTL, ftl.Placement{
+		Host: p.host, Relocate: p.reprogramGC, Open: p.excludeOpen, FastFirst: p.gcSlowFirst,
+	})
 	if err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(dev.Config(), base.LogicalPages())
+	logical := p.LogicalPages()
+	opt = opt.withDefaults(dev.Config(), logical)
+	p.opt, p.ident = opt, opt.Identifier
+	p.hot = hotness.NewTwoLevelLRU(opt.HotListEntries, opt.IronListEntries)
 	// When the cold table covers the whole logical space (the default),
 	// back it with a dense per-LPN array: the bounded map could never
 	// overflow at that size, and every host read consults this table.
-	var cold *hotness.FreqTable
-	if uint64(opt.ColdTableEntries) >= base.LogicalPages() {
-		cold = hotness.NewDenseFreqTable(base.LogicalPages(), opt.ColdPromoteReads)
+	if uint64(opt.ColdTableEntries) >= logical {
+		p.cold = hotness.NewDenseFreqTable(logical, opt.ColdPromoteReads)
 	} else {
-		cold = hotness.NewFreqTable(opt.ColdTableEntries, opt.ColdPromoteReads)
+		p.cold = hotness.NewFreqTable(opt.ColdTableEntries, opt.ColdPromoteReads)
 	}
-	p := &PPB{
-		Base:  base,
-		opt:   opt,
-		vbm:   vbm,
-		ident: opt.Identifier,
-		hot:   hotness.NewTwoLevelLRU(opt.HotListEntries, opt.IronListEntries),
-		cold:  cold,
-	}
-	// Bind the GC callbacks once: method-value creation allocates, and
-	// maybeGC sits on the per-write hot path.
-	p.excludeFn = p.excludeOpen
-	p.reprogramFn = p.reprogramGC
-	p.slowFirstFn = p.gcSlowFirst
 	return p, nil
 }
 
@@ -286,6 +276,8 @@ func (p *PPB) SplitFactor() int { return p.vbm.K() }
 
 // Read implements ftl.FTL. Reads update the hotness trackers (promote on
 // read) but never move data: migration is progressive.
+//
+//flashvet:hotpath
 func (p *PPB) Read(lpn uint64) (bool, error) {
 	oob, mapped, err := p.ReadMappedOOB(lpn)
 	if err != nil || !mapped {
@@ -311,17 +303,13 @@ func (p *PPB) Read(lpn uint64) (bool, error) {
 	return true, nil
 }
 
-// Write implements ftl.FTL.
-func (p *PPB) Write(lpn uint64, reqSize int) error {
-	if err := p.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := p.maybeGC(); err != nil {
-		return err
-	}
-	if err := p.InvalidateOld(lpn); err != nil {
-		return err
-	}
+// host is PPB's host placement (ftl.Placement.Host): it classifies the
+// write, places it at its level's speed and counts a migration when the
+// rewrite changed the page's speed group. ftl.Base.Write runs it after
+// GC and invalidation and maps the page afterwards.
+//
+//flashvet:hotpath
+func (p *PPB) host(lpn uint64, reqSize int) (time.Duration, nand.PPN, error) {
 	p.writeSeq++
 	lvl := p.classifyWrite(lpn, reqSize)
 	// Figure 10b II: when an iron-hot chunk is updated but the iron-hot
@@ -341,16 +329,12 @@ func (p *PPB) Write(lpn uint64, reqSize int) error {
 	}
 	cost, ppn, err := p.programAt(pool, lvl, lvl.Fast(), nand.OOB{LPN: lpn, Tag: uint8(lvl)})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	if hadOld {
 		p.noteMigration(oldPPN, ppn)
 	}
-	p.Map().Set(lpn, ppn)
-	st := p.Stats()
-	st.HostWrites.Inc()
-	st.WriteLatency.Observe(cost)
-	return nil
+	return cost, ppn, nil
 }
 
 // classifyWrite runs the four-level identification for a host write and
@@ -594,20 +578,12 @@ func pairedLevel(lvl hotness.Level) hotness.Level {
 	}
 }
 
-// maybeGC triggers the garbage collector at the low-water mark.
-func (p *PPB) maybeGC() error {
-	if p.inGC || p.vbm.FreeBlocks() > p.Opts().GCLowWater {
-		return nil
-	}
-	p.inGC = true
-	defer func() { p.inGC = false }()
-	return p.GCLoopOrdered(p.excludeFn, p.reprogramFn, p.slowFirstFn)
-}
-
 // gcSlowFirst orders GC relocation so slow-deserving data (hot, icy)
 // moves first: filling slow halves opens the paired fast halves
 // (in-order programming), so by the time the victim's fast-deserving
 // data (iron-hot, cold) relocates, fast pages actually exist for it.
+// The paper does not fix a relocation order; this one makes the
+// progressive migration converge.
 func (p *PPB) gcSlowFirst(oob nand.OOB) bool {
 	return !p.currentLevel(oob.LPN, oob.Tag).Fast()
 }
@@ -632,6 +608,8 @@ func (p *PPB) excludeOpen(b nand.BlockID) bool {
 // evidence: chunks read since their write join the stable library pool
 // (cold on fast halves, warm icy on slow halves); never-read chunks go
 // to the dark pool.
+//
+//flashvet:hotpath
 func (p *PPB) reprogramGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	lvl := p.currentLevel(oob.LPN, oob.Tag)
 	if lvl == hotness.Hot {

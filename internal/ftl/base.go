@@ -2,26 +2,54 @@ package ftl
 
 import (
 	"fmt"
+	"time"
 
 	"ppbflash/internal/nand"
 	"ppbflash/internal/vblock"
 )
 
+// Placement is everything that distinguishes one FTL strategy from
+// another: where a host page goes, where a GC relocation goes, which
+// blocks are open (and so never GC victims), and optionally the order
+// GC relocates a victim's pages in. A strategy hands one to NewBase;
+// Base runs the rest of the host write path (Write) and the garbage
+// collector (GCLoop) around it.
+type Placement struct {
+	// Host programs the host write of lpn (reqSize as in FTL.Write) and
+	// returns the device cost and the new physical page. Base has
+	// already run GC and invalidated the old copy (the mapping still
+	// holds it), and maps lpn to the returned page afterwards.
+	Host func(lpn uint64, reqSize int) (time.Duration, nand.PPN, error)
+	// Relocate programs one valid page GC moves out of a victim and
+	// returns the device cost and the new physical page; Base remaps
+	// the page's LPN and invalidates the source.
+	Relocate func(oob nand.OOB) (time.Duration, nand.PPN, error)
+	// Open reports blocks GC must not collect (the strategy's open
+	// blocks); nil excludes none.
+	Open func(nand.BlockID) bool
+	// FastFirst, when set, orders relocation within each victim: pages
+	// it returns true for move before the rest. nil keeps physical page
+	// order.
+	FastFirst func(nand.OOB) bool
+}
+
 // Base carries the machinery every FTL in this package shares: the
-// device, the mapping table, stats, options, and victim selection.
+// device, the mapping table, stats, options, the host write path and
+// garbage collection around the strategy's Placement.
 type Base struct {
 	dev   *nand.Device
 	cfg   nand.Config
 	opts  Options
 	table *Mapping
 	stats Stats
+	place Placement
 
 	// vbm is the strategy's virtual-block manager; invalidations and GC
 	// victim picks go through it so its victim index stays current.
 	vbm *vblock.Manager
 	// gcDeferred is collectBlock's reusable fast-first scratch;
 	// gcCollecting marks a collection in flight so a nested collection
-	// (re-entered through a reprogram callback) detaches its scratch
+	// (re-entered through a Relocate callback) detaches its scratch
 	// instead of clobbering the slice the outer pass still ranges.
 	gcDeferred   []int
 	gcCollecting bool
@@ -30,14 +58,16 @@ type Base struct {
 }
 
 // NewBase validates the options and builds the shared state for an FTL
-// over dev and the strategy's virtual-block manager. Strategy packages
-// (internal/core) embed the result. Taking the manager at construction
-// (rather than attaching it later) guarantees Invalidate always feeds
-// the manager's GC victim index — a strategy cannot forget to wire it —
-// and lets NewBase thread the dispatch policy plus the device's
-// read-only chip clock view into the manager, so clock-aware policies
-// work for every strategy without per-FTL wiring.
-func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) {
+// over dev, the strategy's virtual-block manager and its placement.
+// Strategy packages (internal/core) embed the result. Taking the
+// manager and the placement at construction (rather than attaching
+// them later) guarantees Invalidate always feeds the manager's GC victim
+// index and every write and collection runs through the strategy's
+// hooks — a strategy cannot forget to wire either — and lets NewBase
+// thread the dispatch policy plus the device's read-only chip clock
+// view into the manager, so clock-aware policies work for every
+// strategy without per-FTL wiring.
+func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options, place Placement) (Base, error) {
 	cfg := dev.Config()
 	opts = opts.withDefaults(cfg)
 	if err := opts.Validate(cfg); err != nil {
@@ -69,8 +99,8 @@ func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) 
 		return Base{}, fmt.Errorf("ftl: no logical space (over-provision %g on %d pages)",
 			opts.OverProvision, cfg.TotalPages())
 	}
-	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), vbm: vbm,
-		causal: opts.Dependency == DepCausal}, nil
+	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), place: place,
+		vbm: vbm, causal: opts.Dependency == DepCausal}, nil
 }
 
 // Stats implements FTL.
@@ -122,14 +152,47 @@ func (b *Base) Invalidate(ppn nand.PPN) error {
 	return nil
 }
 
-// ReadMapped serves a host read of lpn, attributing cost and the
-// fast/slow placement split. Returns false when unmapped.
-func (b *Base) ReadMapped(lpn uint64) (bool, error) {
+// Write implements FTL: the one host write path of every strategy. It
+// checks the range, runs GC at the low-water mark, invalidates the old
+// copy, places the page through Placement.Host, then maps it and counts
+// the write.
+//
+//flashvet:hotpath
+func (b *Base) Write(lpn uint64, reqSize int) error {
+	if !b.table.InRange(lpn) {
+		return fmt.Errorf("ftl: write of lpn %d beyond logical space %d", lpn, b.table.Pages())
+	}
+	if b.vbm.FreeBlocks() <= b.opts.GCLowWater {
+		if err := b.GCLoop(); err != nil {
+			return err
+		}
+	}
+	if old, had := b.table.Lookup(lpn); had {
+		if err := b.Invalidate(old); err != nil {
+			return err
+		}
+	}
+	cost, ppn, err := b.place.Host(lpn, reqSize)
+	if err != nil {
+		return err
+	}
+	b.table.Set(lpn, ppn)
+	b.stats.HostWrites.Inc()
+	b.stats.WriteLatency.Observe(cost)
+	return nil
+}
+
+// Read implements FTL: it serves a host read of lpn, attributing cost
+// and the fast/slow placement split. mapped is false when the page was
+// never written.
+//
+//flashvet:hotpath
+func (b *Base) Read(lpn uint64) (bool, error) {
 	_, mapped, err := b.ReadMappedOOB(lpn)
 	return mapped, err
 }
 
-// ReadMappedOOB is ReadMapped returning the OOB metadata of the page
+// ReadMappedOOB is Read returning the OOB metadata of the page
 // that served the read, so strategies that need the stored tag (PPB's
 // level accounting) avoid a second mapping lookup per host read.
 func (b *Base) ReadMappedOOB(lpn uint64) (nand.OOB, bool, error) {
@@ -157,24 +220,6 @@ func (b *Base) ReadMappedOOB(lpn uint64) (nand.OOB, bool, error) {
 		b.stats.SlowReads.Inc()
 	}
 	return oob, true, nil
-}
-
-// CheckWrite validates the target of a host write.
-func (b *Base) CheckWrite(lpn uint64) error {
-	if !b.table.InRange(lpn) {
-		return fmt.Errorf("ftl: write of lpn %d beyond logical space %d", lpn, b.table.Pages())
-	}
-	return nil
-}
-
-// InvalidateOld drops the previous physical page of lpn, if any.
-func (b *Base) InvalidateOld(lpn uint64) error {
-	if old, had := b.table.Lookup(lpn); had {
-		if err := b.Invalidate(old); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CheckMapping verifies that every mapped LPN points at a valid page

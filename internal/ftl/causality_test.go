@@ -35,7 +35,7 @@ func causalBase(t *testing.T, dep DependencyModel) (*Base, *nand.Device, nand.Bl
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, Dependency: dep})
+	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, Dependency: dep}, Placement{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,8 @@ func TestCausalRelocationChain(t *testing.T) {
 			}
 			return cost, ppn, nil
 		}
-		if err := base.collectBlock(victim, reprogram, nil); err != nil {
+		base.place.Relocate = reprogram
+		if err := base.collectBlock(victim); err != nil {
 			t.Fatal(err)
 		}
 		// The erase is the last scheduled op; its start must not precede
@@ -112,7 +113,7 @@ func TestCausalRelocationChain(t *testing.T) {
 }
 
 // TestNestedCollectScratch: a collection re-entered through the
-// reprogram callback must not clobber the outer pass's deferred-page
+// Relocate callback must not clobber the outer pass's deferred-page
 // scratch. Before the re-entrancy guard both passes aliased
 // Base.gcDeferred's backing array, so the nested collection silently
 // rewrote the page list the outer pass was still working through.
@@ -123,7 +124,7 @@ func TestNestedCollectScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5})
+	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5}, Placement{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestNestedCollectScratch(t *testing.T) {
 		blk := vb.Block
 		for i := 0; i < cfg.PagesPerBlock; i++ {
 			if i == cfg.PagesPerBlock/2 {
-				if _, ok := vbm.OpenPending(0); !ok {
+				if _, ok := vbm.OpenPendingGroup(0, true); !ok {
 					t.Fatal("fast part not pending")
 				}
 			}
@@ -176,7 +177,7 @@ func TestNestedCollectScratch(t *testing.T) {
 	var destOpen bool
 	writeOne := func(oob nand.OOB) (time.Duration, nand.PPN, error) {
 		if !destOpen {
-			if vb, ok := vbm.OpenPending(0); ok {
+			if vb, ok := vbm.OpenPendingGroup(0, true); ok {
 				dest, destOpen = vb, true
 			} else if vb, err := vbm.AllocateFirst(0); err == nil {
 				dest, destOpen = vb, true
@@ -197,7 +198,8 @@ func TestNestedCollectScratch(t *testing.T) {
 	}
 	// Defer odd LPNs so both passes of both collections carry entries.
 	oddLast := func(oob nand.OOB) bool { return oob.LPN%2 == 0 }
-	if err := base.collectBlock(victimW, writeOne, oddLast); err != nil {
+	base.place = Placement{Relocate: writeOne, FastFirst: oddLast}
+	if err := base.collectBlock(victimW); err != nil {
 		t.Fatalf("warm-up collect: %v", err)
 	}
 	nested := false
@@ -206,13 +208,14 @@ func TestNestedCollectScratch(t *testing.T) {
 			// First outer relocation: re-enter collection for victim B
 			// while victim A's deferred scratch is still live.
 			nested = true
-			if err := base.collectBlock(victimB, writeOne, oddLast); err != nil {
+			if err := base.collectBlock(victimB); err != nil {
 				t.Fatalf("nested collect: %v", err)
 			}
 		}
 		return writeOne(oob)
 	}
-	if err := base.collectBlock(victimA, reprogram, oddLast); err != nil {
+	base.place.Relocate = reprogram
+	if err := base.collectBlock(victimA); err != nil {
 		t.Fatalf("outer collect: %v", err)
 	}
 	// Both victims fully collected (each erased exactly once — the

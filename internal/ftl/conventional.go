@@ -22,7 +22,6 @@ type Conventional struct {
 	Base
 	active [2]nand.BlockID // 0 = host stream, 1 = GC stream
 	open   [2]bool
-	inGC   bool
 }
 
 const (
@@ -44,43 +43,27 @@ func NewConventional(dev *nand.Device, opts Options) (*Conventional, error) {
 	// affinity dispatch the GC stream keeps its multi-ms erases off the
 	// host chips.
 	vbm.MarkHotPools(convHost)
-	b, err := NewBase(dev, vbm, opts)
+	c := &Conventional{}
+	c.Base, err = NewBase(dev, vbm, opts,
+		Placement{Host: c.host, Relocate: c.programGC, Open: c.excludeActive})
 	if err != nil {
 		return nil, err
 	}
-	return &Conventional{Base: b}, nil
+	return c, nil
 }
 
 // Name implements FTL.
 func (c *Conventional) Name() string { return "conventional" }
 
-// Read implements FTL.
-func (c *Conventional) Read(lpn uint64) (bool, error) { return c.ReadMapped(lpn) }
-
-// Write implements FTL.
-func (c *Conventional) Write(lpn uint64, _ int) error {
-	if err := c.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := c.maybeGC(); err != nil {
-		return err
-	}
-	if err := c.InvalidateOld(lpn); err != nil {
-		return err
-	}
-	cost, ppn, err := c.program(convHost, nand.OOB{LPN: lpn})
-	if err != nil {
-		return err
-	}
-	c.Map().Set(lpn, ppn)
-	st := c.Stats()
-	st.HostWrites.Inc()
-	st.WriteLatency.Observe(cost)
-	return nil
+// host appends the page to the host stream.
+func (c *Conventional) host(lpn uint64, _ int) (time.Duration, nand.PPN, error) {
+	return c.program(convHost, nand.OOB{LPN: lpn})
 }
 
 // program appends one page to the stream's active block, opening a new
 // block when needed, and returns the device cost and the programmed PPN.
+//
+//flashvet:hotpath
 func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, ppn nand.PPN, err error) {
 	if !c.open[stream] {
 		vb, err := c.vbm.AllocateFirst(stream)
@@ -114,16 +97,6 @@ func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, pp
 
 func (c *Conventional) programGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	return c.program(convGC, oob)
-}
-
-// maybeGC runs greedy garbage collection when the free pool is low.
-func (c *Conventional) maybeGC() error {
-	if c.inGC || c.vbm.FreeBlocks() > c.Opts().GCLowWater {
-		return nil
-	}
-	c.inGC = true
-	defer func() { c.inGC = false }()
-	return c.GCLoop(c.excludeActive, c.programGC)
 }
 
 func (c *Conventional) excludeActive(b nand.BlockID) bool {

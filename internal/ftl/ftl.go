@@ -16,6 +16,13 @@
 // The PPB strategy itself lives in internal/core and plugs into the same
 // FTL interface.
 //
+// Strategies differ only in where pages go. Each supplies a Placement
+// (host placement, GC relocation, open-block exclusion and an optional
+// relocation order) to NewBase, and the embedded Base runs everything
+// else: the host write path (Base.Write: range check, low-water GC,
+// invalidation of the old copy, mapping, stats), plain host reads
+// (Base.Read) and the garbage collector (Base.GCLoop).
+//
 // Every strategy allocates blocks through vblock.Manager, whose
 // dispatch policy (Options.Dispatch) decides which chip each newly
 // opened active block lands on: round-robin striping by default, the

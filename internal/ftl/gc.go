@@ -6,58 +6,33 @@ import (
 	"ppbflash/internal/nand"
 )
 
-// ReprogramFunc relocates one valid page during GC and returns the device
-// cost of the program plus the new physical page.
-type ReprogramFunc func(oob nand.OOB) (time.Duration, nand.PPN, error)
-
 // GCLoop is the garbage collector shared by every FTL in this module:
-// greedy victim selection (most invalid pages, wear-aware tie-break),
-// valid-page relocation through the strategy's own reprogram routine,
-// erase, release. It runs until the free pool recovers to the high-water
-// mark or nothing reclaimable remains.
+// greedy victim selection (most invalid pages, wear-aware tie-break)
+// among the blocks Placement.Open does not hold, valid-page relocation
+// through Placement.Relocate (in Placement.FastFirst order when set),
+// erase, release. It runs until the free pool recovers to the
+// high-water mark or nothing reclaimable remains. Base.Write calls it
+// at the low-water mark.
 //
 // Victims come from the manager's incrementally maintained invalid-count
 // index, so each pick costs O(candidates at the top count) instead of a
 // scan over every block (victim_test.go cross-checks it against the
 // full-scan reference).
-func (b *Base) GCLoop(exclude func(nand.BlockID) bool, reprogram ReprogramFunc) error {
-	return b.GCLoopOrdered(exclude, reprogram, nil)
-}
-
-// pickVictim selects the next GC victim: full blocks only, then (when
-// fullOnly is cleared) any owned block as the desperation fallback.
-// Under Options.Wear == WearAware the greedy rule is relaxed through
-// the victim index.
-func (b *Base) pickVictim(fullOnly bool, exclude func(nand.BlockID) bool) (nand.BlockID, bool) {
-	if b.opts.Wear == WearAware {
-		return b.vbm.PickVictimWearAware(fullOnly, exclude, b.dev.EraseCount, b.opts.WearWindow)
-	}
-	return b.vbm.PickVictim(fullOnly, exclude, b.dev.EraseCount)
-}
-
-// GCLoopOrdered is GCLoop with a relocation-order hook: within each
-// collected block, pages for which fastFirst returns true are relocated
-// before the rest. PPB uses this to let fast-deserving data (iron-hot,
-// cold) claim the available fast virtual-block space of a GC burst ahead
-// of slow-deserving data — the paper does not fix a relocation order, and
-// this one makes the progressive migration converge. A nil fastFirst
-// keeps physical page order.
-func (b *Base) GCLoopOrdered(exclude func(nand.BlockID) bool,
-	reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) GCLoop() error {
 	vbm := b.vbm
 	b.stats.GCRuns.Inc()
 	for vbm.FreeBlocks() < b.opts.GCHighWater {
-		victim, ok := b.pickVictim(true, exclude)
+		victim, ok := b.pickVictim(true)
 		if !ok {
 			// Desperation: consider partially filled, non-active blocks.
-			victim, ok = b.pickVictim(false, exclude)
+			victim, ok = b.pickVictim(false)
 			if !ok {
 				return nil // nothing reclaimable; let the write fail if truly full
 			}
 		}
 		before := vbm.FreeBlocks()
 		retiredBefore := b.dev.RetiredBlocks()
-		if err := b.collectBlock(victim, reprogram, fastFirst); err != nil {
+		if err := b.collectBlock(victim); err != nil {
 			return err
 		}
 		if vbm.FreeBlocks() <= before && b.dev.RetiredBlocks() == retiredBefore {
@@ -74,10 +49,26 @@ func (b *Base) GCLoopOrdered(exclude func(nand.BlockID) bool,
 	// Free space is healthy again: do the proactive reliability work —
 	// scrub blocks flagged for retirement, then rebalance wear. Both are
 	// bounded and guarded so they never push the pool back into GC.
-	if err := b.scrubRetireCandidates(exclude, reprogram, fastFirst); err != nil {
+	if err := b.scrubRetireCandidates(); err != nil {
 		return err
 	}
-	return b.maybeWearSwap(exclude, reprogram, fastFirst)
+	return b.maybeWearSwap()
+}
+
+// pickVictim selects the next GC victim: full blocks only, then (when
+// fullOnly is cleared) any owned block as the desperation fallback.
+// Under Options.Wear == WearAware the greedy rule is relaxed through
+// the victim index.
+func (b *Base) pickVictim(fullOnly bool) (nand.BlockID, bool) {
+	if b.opts.Wear == WearAware {
+		return b.vbm.PickVictimWearAware(fullOnly, b.place.Open, b.dev.EraseCount, b.opts.WearWindow)
+	}
+	return b.vbm.PickVictim(fullOnly, b.place.Open, b.dev.EraseCount)
+}
+
+// excluded reports whether Placement.Open holds the block.
+func (b *Base) excluded(blk nand.BlockID) bool {
+	return b.place.Open != nil && b.place.Open(blk)
 }
 
 // scrubRetireCandidates drains the device's retire-candidate queue
@@ -86,7 +77,7 @@ func (b *Base) GCLoopOrdered(exclude func(nand.BlockID) bool,
 // skipped here (active block, or the pool ran low) keeps its pending
 // recommendation and is retired at its next normal GC erase instead, so
 // retirement never depends on the scrub running.
-func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) scrubRetireCandidates() error {
 	if !b.dev.ReliabilityEnabled() {
 		return nil
 	}
@@ -95,13 +86,13 @@ func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram 
 		if !ok {
 			return nil
 		}
-		if exclude != nil && exclude(cand) {
+		if b.excluded(cand) {
 			continue
 		}
 		if _, owned := b.vbm.PoolOf(cand); !owned {
 			continue
 		}
-		if err := b.collectBlock(cand, reprogram, fastFirst); err != nil {
+		if err := b.collectBlock(cand); err != nil {
 			return err
 		}
 	}
@@ -114,9 +105,9 @@ func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram 
 // Options.WearThreshold, that cold block is collected even though it
 // may be fully valid, so its under-worn cells rejoin circulation. The
 // max erase count is O(1) (the device maintains it incrementally); only
-// the min scan pays a ForEachFull walk, and only while the policy is
+// the min scan walks the full blocks, and only while the policy is
 // active and free space is healthy.
-func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) maybeWearSwap() error {
 	if b.opts.Wear != WearThresholdSwap {
 		return nil
 	}
@@ -130,23 +121,22 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 	var cand nand.BlockID
 	var candWear uint32
 	found := false
-	b.vbm.ForEachFull(func(blk nand.BlockID) bool {
-		if exclude != nil && exclude(blk) {
-			return true
+	for blk := nand.BlockID(0); int(blk) < b.cfg.TotalBlocks(); blk++ {
+		if !b.vbm.IsFull(blk) || b.excluded(blk) {
+			continue
 		}
 		if w := b.dev.EraseCount(blk); !found || w < candWear {
 			cand, candWear, found = blk, w, true
 		}
-		return true
-	})
+	}
 	if !found || max-candWear < b.opts.WearThreshold {
 		return nil
 	}
-	return b.collectBlock(cand, reprogram, fastFirst)
+	return b.collectBlock(cand)
 }
 
-// collectBlock relocates the victim's valid pages (optionally in two
-// passes ordered by fastFirst), erases it and returns it to the free
+// collectBlock relocates the victim's valid pages (in two passes when
+// Placement.FastFirst is set), erases it and returns it to the free
 // pool, charging all device time to GC.
 //
 // Under the causal dependency model (Options.Dependency) each
@@ -157,8 +147,7 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 // block is not erased before its contents are safe elsewhere. On a
 // single chip every op serializes on one clock and the floors are
 // inert, keeping Chips=1 timelines bit-identical.
-func (b *Base) collectBlock(victim nand.BlockID,
-	reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) collectBlock(victim nand.BlockID) error {
 	vbm := b.vbm
 	// A partially-used victim may still be queued as "pending": its next
 	// part could otherwise be opened as a relocation target mid-collect.
@@ -170,70 +159,12 @@ func (b *Base) collectBlock(victim nand.BlockID,
 			poolIdx = len(b.stats.GCPoolErases) - 1
 		}
 	}
-	var lastReloc time.Duration // latest relocation finish (causal erase floor)
-	relocate := func(page int) error {
-		ppn := b.cfg.PPNForBlockPage(victim, page)
-		oob, readCost, err := b.dev.Read(ppn)
-		if err != nil {
-			return err
-		}
-		if b.causal {
-			b.dev.After(b.dev.LastFinish()) // program waits for its source read
-		}
-		progCost, newPPN, err := reprogram(oob)
-		if err != nil {
-			return err
-		}
-		if b.causal {
-			if fin := b.dev.LastFinish(); fin > lastReloc {
-				lastReloc = fin
-			}
-		}
-		b.table.Set(oob.LPN, newPPN)
-		if err := b.Invalidate(ppn); err != nil {
-			return err
-		}
-		b.stats.GCCopies.Inc()
-		b.stats.GCPoolCopies[poolIdx].Inc()
-		b.stats.GCLatency.Observe(readCost + progCost)
-		return nil
-	}
-	// The deferred-page scratch lives on the Base and is reused across
-	// collections: GC runs millions of times per replay and must not
-	// allocate per collected block. A nested collection (re-entered
-	// through reprogram) detaches instead — sharing the backing array
-	// while the outer pass still appends to or ranges it would silently
-	// corrupt the outer victim's page list.
 	nested := b.gcCollecting
 	b.gcCollecting = true
-	defer func() { b.gcCollecting = nested }()
-	deferred := b.gcDeferred[:0]
-	if nested {
-		deferred = nil
-	}
-	for page := 0; page < b.cfg.PagesPerBlock; page++ {
-		ppn := b.cfg.PPNForBlockPage(victim, page)
-		if b.dev.State(ppn) != nand.PageValid {
-			continue
-		}
-		if fastFirst != nil && !fastFirst(b.dev.PeekOOB(ppn)) {
-			deferred = append(deferred, page)
-			continue
-		}
-		if err := relocate(page); err != nil {
-			return err
-		}
-	}
-	if !nested {
-		// Hand the (possibly grown) array back before the second pass;
-		// any collection nested under it detaches, so the range below
-		// cannot be clobbered.
-		b.gcDeferred = deferred[:0]
-	}
-	for _, page := range deferred {
-		if err := relocate(page); err != nil {
-			return err
-		}
+	lastReloc, err := b.relocateValid(victim, poolIdx, nested)
+	b.gcCollecting = nested
+	if err != nil {
+		return err
 	}
 	if b.causal && lastReloc > 0 {
 		b.dev.After(lastReloc) // erase waits for the last relocation
@@ -261,4 +192,78 @@ func (b *Base) collectBlock(victim nand.BlockID,
 	b.stats.GCPoolErases[poolIdx].Inc()
 	b.stats.GCLatency.Observe(eraseCost)
 	return nil
+}
+
+// relocateValid relocates every valid page of the victim, pages
+// Placement.FastFirst selects first, and returns the latest relocation
+// finish (the causal erase floor).
+func (b *Base) relocateValid(victim nand.BlockID, poolIdx int, nested bool) (time.Duration, error) {
+	var lastReloc time.Duration
+	// The deferred-page scratch lives on the Base and is reused across
+	// collections: GC runs millions of times per replay and must not
+	// allocate per collected block. A nested collection (re-entered
+	// through Relocate) detaches instead — sharing the backing array
+	// while the outer pass still appends to or ranges it would silently
+	// corrupt the outer victim's page list.
+	deferred := b.gcDeferred[:0]
+	if nested {
+		deferred = nil
+	}
+	fastFirst := b.place.FastFirst
+	for page := 0; page < b.cfg.PagesPerBlock; page++ {
+		ppn := b.cfg.PPNForBlockPage(victim, page)
+		if b.dev.State(ppn) != nand.PageValid {
+			continue
+		}
+		if fastFirst != nil && !fastFirst(b.dev.PeekOOB(ppn)) {
+			deferred = append(deferred, page)
+			continue
+		}
+		fin, err := b.relocate(ppn, poolIdx)
+		if err != nil {
+			return 0, err
+		}
+		lastReloc = max(lastReloc, fin)
+	}
+	if !nested {
+		// Hand the (possibly grown) array back before the second pass;
+		// any collection nested under it detaches, so the range below
+		// cannot be clobbered.
+		b.gcDeferred = deferred[:0]
+	}
+	for _, page := range deferred {
+		fin, err := b.relocate(b.cfg.PPNForBlockPage(victim, page), poolIdx)
+		if err != nil {
+			return 0, err
+		}
+		lastReloc = max(lastReloc, fin)
+	}
+	return lastReloc, nil
+}
+
+// relocate copies one valid page through Placement.Relocate, remaps its
+// LPN and invalidates the source. It returns the device's last finish
+// time after the copy, which under the causal model is the copy's
+// program finish.
+func (b *Base) relocate(ppn nand.PPN, poolIdx int) (time.Duration, error) {
+	oob, readCost, err := b.dev.Read(ppn)
+	if err != nil {
+		return 0, err
+	}
+	if b.causal {
+		b.dev.After(b.dev.LastFinish()) // program waits for its source read
+	}
+	progCost, newPPN, err := b.place.Relocate(oob)
+	if err != nil {
+		return 0, err
+	}
+	fin := b.dev.LastFinish()
+	b.table.Set(oob.LPN, newPPN)
+	if err := b.Invalidate(ppn); err != nil {
+		return 0, err
+	}
+	b.stats.GCCopies.Inc()
+	b.stats.GCPoolCopies[poolIdx].Inc()
+	b.stats.GCLatency.Observe(readCost + progCost)
+	return fin, nil
 }

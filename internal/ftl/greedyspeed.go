@@ -27,7 +27,6 @@ type GreedySpeed struct {
 
 	slow, fast       vblock.VB
 	slowOpen, fastOk bool
-	inGC             bool
 }
 
 var _ FTL = (*GreedySpeed)(nil)
@@ -42,69 +41,53 @@ func NewGreedySpeed(dev *nand.Device, opts Options, ident hotness.Identifier) (*
 	// The strawman mixes hot and cold data in one shared pool, so the
 	// whole pool counts as hot-stream for affinity dispatch purposes.
 	vbm.MarkHotPools(0)
-	b, err := NewBase(dev, vbm, opts)
-	if err != nil {
-		return nil, err
-	}
 	if ident == nil {
 		ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
 	}
-	return &GreedySpeed{Base: b, ident: ident}, nil
+	g := &GreedySpeed{ident: ident}
+	g.Base, err = NewBase(dev, vbm, opts,
+		Placement{Host: g.host, Relocate: g.program, Open: g.excludeActive})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // Name implements FTL.
 func (g *GreedySpeed) Name() string { return "greedy-speed" }
 
-// Read implements FTL.
-func (g *GreedySpeed) Read(lpn uint64) (bool, error) { return g.ReadMapped(lpn) }
-
-// Write implements FTL.
-func (g *GreedySpeed) Write(lpn uint64, reqSize int) error {
-	if err := g.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := g.maybeGC(); err != nil {
-		return err
-	}
-	if err := g.InvalidateOld(lpn); err != nil {
-		return err
-	}
+// host tags the page by the identifier's area and places it.
+func (g *GreedySpeed) host(lpn uint64, reqSize int) (time.Duration, nand.PPN, error) {
 	tag := tagCold
 	if g.ident.Classify(lpn, reqSize) == hotness.AreaHot {
 		tag = tagHot
 	}
-	cost, ppn, err := g.program(nand.OOB{LPN: lpn, Tag: tag})
-	if err != nil {
-		return err
-	}
-	g.table.Set(lpn, ppn)
-	g.stats.HostWrites.Inc()
-	g.stats.WriteLatency.Observe(cost)
-	return nil
+	return g.program(nand.OOB{LPN: lpn, Tag: tag})
 }
 
 // program places the page by its tag: hot data goes to the open fast VB
 // (when one exists), cold data to the open slow VB. When the preferred VB
 // is unavailable the write spills into the other — the strawman has no
 // pairing discipline to protect.
+//
+//flashvet:hotpath
 func (g *GreedySpeed) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	var vb *vblock.VB
 	if oob.Tag == tagHot {
-		if err := g.ensureFast(); err == nil {
+		if g.openFast() {
 			vb = &g.fast
-		} else if err := g.ensureSlow(); err == nil {
+		} else if g.openSlow() {
 			vb = &g.slow
-		} else {
-			return 0, 0, err
 		}
 	} else {
-		if err := g.ensureSlow(); err == nil {
+		if g.openSlow() {
 			vb = &g.slow
-		} else if err := g.ensureFast(); err == nil {
+		} else if g.openFast() {
 			vb = &g.fast
-		} else {
-			return 0, 0, err
 		}
+	}
+	if vb == nil {
+		return 0, 0, fmt.Errorf("%w (greedy-speed)", ErrNoSpace)
 	}
 	page, vbFull, _, err := g.vbm.Advance(vb.Block)
 	if err != nil {
@@ -125,40 +108,27 @@ func (g *GreedySpeed) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	return cost, ppn, nil
 }
 
-// ensureSlow opens a slow VB (part 0 of a fresh block) if none is open.
-func (g *GreedySpeed) ensureSlow() error {
+// openSlow reports whether a slow VB is open, opening part 0 of a
+// fresh block if none is.
+func (g *GreedySpeed) openSlow() bool {
 	if g.slowOpen {
-		return nil
+		return true
 	}
 	vb, err := g.vbm.AllocateFirst(0) // single shared pool
 	if err != nil {
-		return fmt.Errorf("%w (greedy-speed)", ErrNoSpace)
+		return false
 	}
 	g.slow, g.slowOpen = vb, true
-	return nil
+	return true
 }
 
-// ensureFast opens a fast VB from the pending queue (a block whose slow
-// half already filled) if none is open.
-func (g *GreedySpeed) ensureFast() error {
-	if g.fastOk {
-		return nil
+// openFast reports whether a fast VB is open, opening one from the
+// pending queue (a block whose slow half already filled) if none is.
+func (g *GreedySpeed) openFast() bool {
+	if !g.fastOk {
+		g.fast, g.fastOk = g.vbm.OpenPendingGroup(0, true)
 	}
-	vb, ok := g.vbm.OpenPending(0)
-	if !ok {
-		return fmt.Errorf("%w (greedy-speed: no fast half ready)", ErrNoSpace)
-	}
-	g.fast, g.fastOk = vb, true
-	return nil
-}
-
-func (g *GreedySpeed) maybeGC() error {
-	if g.inGC || g.vbm.FreeBlocks() > g.opts.GCLowWater {
-		return nil
-	}
-	g.inGC = true
-	defer func() { g.inGC = false }()
-	return g.GCLoop(g.excludeActive, g.program)
+	return g.fastOk
 }
 
 func (g *GreedySpeed) excludeActive(b nand.BlockID) bool {

@@ -20,7 +20,6 @@ type HotColdSplit struct {
 
 	active [2]nand.BlockID // per area
 	open   [2]bool
-	inGC   bool
 }
 
 var _ FTL = (*HotColdSplit)(nil)
@@ -33,49 +32,33 @@ func NewHotColdSplit(dev *nand.Device, opts Options, ident hotness.Identifier) (
 		return nil, err
 	}
 	vbm.MarkHotPools(int(hotness.AreaHot))
-	b, err := NewBase(dev, vbm, opts)
-	if err != nil {
-		return nil, err
-	}
 	if ident == nil {
 		ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
 	}
-	return &HotColdSplit{Base: b, ident: ident}, nil
+	h := &HotColdSplit{ident: ident}
+	h.Base, err = NewBase(dev, vbm, opts,
+		Placement{Host: h.host, Relocate: h.program, Open: h.excludeActive})
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // Name implements FTL.
 func (h *HotColdSplit) Name() string { return "hotcold-split" }
 
-// Read implements FTL.
-func (h *HotColdSplit) Read(lpn uint64) (bool, error) { return h.ReadMapped(lpn) }
-
-// Write implements FTL.
-func (h *HotColdSplit) Write(lpn uint64, reqSize int) error {
-	if err := h.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := h.maybeGC(); err != nil {
-		return err
-	}
-	if err := h.InvalidateOld(lpn); err != nil {
-		return err
-	}
-	area := h.ident.Classify(lpn, reqSize)
+// host tags the page by the identifier's area and programs it there.
+func (h *HotColdSplit) host(lpn uint64, reqSize int) (time.Duration, nand.PPN, error) {
 	tag := tagCold
-	if area == hotness.AreaHot {
+	if h.ident.Classify(lpn, reqSize) == hotness.AreaHot {
 		tag = tagHot
 	}
-	cost, ppn, err := h.program(nand.OOB{LPN: lpn, Tag: tag})
-	if err != nil {
-		return err
-	}
-	h.table.Set(lpn, ppn)
-	h.stats.HostWrites.Inc()
-	h.stats.WriteLatency.Observe(cost)
-	return nil
+	return h.program(nand.OOB{LPN: lpn, Tag: tag})
 }
 
 // program appends to the active block of the page's area.
+//
+//flashvet:hotpath
 func (h *HotColdSplit) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	area := hotness.AreaCold
 	if oob.Tag == tagHot {
@@ -102,15 +85,6 @@ func (h *HotColdSplit) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 		h.open[area] = false
 	}
 	return cost, ppn, nil
-}
-
-func (h *HotColdSplit) maybeGC() error {
-	if h.inGC || h.vbm.FreeBlocks() > h.opts.GCLowWater {
-		return nil
-	}
-	h.inGC = true
-	defer func() { h.inGC = false }()
-	return h.GCLoop(h.excludeActive, h.program)
 }
 
 func (h *HotColdSplit) excludeActive(b nand.BlockID) bool {

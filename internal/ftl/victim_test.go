@@ -50,7 +50,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 		writeOne := func() {
 			if len(writable) == 0 {
 				pool := rng.Intn(2)
-				if vb, ok := vbm.OpenPending(pool); ok {
+				if vb, ok := vbm.OpenPendingGroup(pool, true); ok {
 					writable = append(writable, openVB{vb, pool})
 				} else if vb, err := vbm.AllocateFirst(pool); err == nil {
 					writable = append(writable, openVB{vb, pool})
@@ -225,7 +225,7 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 
 // TestGCDesperationCollectsPartialBlock builds a state with no full
 // blocks and only a partially-programmed, pending victim, and verifies
-// GCLoopOrdered falls back to the desperation pass: the partial block is
+// GCLoop falls back to the desperation pass: the partial block is
 // unqueued from pending, its survivors relocated, and the block
 // force-released back to the free pool.
 func TestGCDesperationCollectsPartialBlock(t *testing.T) {
@@ -235,7 +235,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, GCLowWater: 1, GCHighWater: 9})
+	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, GCLowWater: 1, GCHighWater: 9}, Placement{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +272,8 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vbm.PendingCount(0) != 1 {
-		t.Fatalf("pending count = %d, want 1", vbm.PendingCount(0))
+	if vbm.PendingCountGroup(0, true) != 1 {
+		t.Fatalf("pending count = %d, want 1", vbm.PendingCountGroup(0, true))
 	}
 	if _, ok := vbm.PickVictim(true, nil, dev.EraseCount); ok {
 		t.Fatal("full-only pick should find nothing (no full blocks)")
@@ -300,7 +300,8 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	}
 	exclude := func(b nand.BlockID) bool { return haveTarget && b == target.Block }
 
-	if err := base.GCLoopOrdered(exclude, reprogram, nil); err != nil {
+	base.place = Placement{Relocate: reprogram, Open: exclude}
+	if err := base.GCLoop(); err != nil {
 		t.Fatal(err)
 	}
 	if dev.EraseCount(victim) != 1 {

@@ -58,13 +58,20 @@ func TestWearOptionsDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-// TestReliabilityRetirementThroughGC wears a small conventional FTL to
-// death: with a tiny P/E limit, GC's own erases push hot blocks over
-// the limit, the device flags them, the GC loop retires them (device
-// mark + vblock lifecycle), and the shrinking spare pool eventually
-// ends in ErrNoSpace — the lifetime probe of experiment a9 in
-// miniature, here asserting the bookkeeping stays consistent.
+// TestReliabilityRetirementThroughGC wears each strategy to death: with
+// a tiny P/E limit, GC's own erases push hot blocks over the limit, the
+// device flags them, the GC loop retires them (device mark + vblock
+// lifecycle), and the shrinking spare pool eventually ends in
+// ErrNoSpace from the strategy's placement — the lifetime probe of
+// experiment a9 in miniature, here asserting the bookkeeping stays
+// consistent.
 func TestReliabilityRetirementThroughGC(t *testing.T) {
+	for _, kind := range allKinds {
+		t.Run(kind, func(t *testing.T) { wearOut(t, kind) })
+	}
+}
+
+func wearOut(t *testing.T, kind string) {
 	cfg := testConfig()
 	rel := nand.ReliabilityConfig{
 		Enabled:       true,
@@ -74,7 +81,7 @@ func TestReliabilityRetirementThroughGC(t *testing.T) {
 		MaxRetries:    3,
 		PECycleLimit:  3,
 	}
-	f := newFTL(t, "conventional", cfg, Options{OverProvision: 0.2, Reliability: &rel, ReliabilitySeed: 1})
+	f := newFTL(t, kind, cfg, Options{OverProvision: 0.2, Reliability: &rel, ReliabilitySeed: 1})
 	span := f.LogicalPages()
 	for lpn := uint64(0); lpn < span; lpn++ {
 		if err := f.Write(lpn, cfg.PageSize); err != nil {

@@ -343,15 +343,6 @@ func (m *Manager) checkPool(pool int) error {
 	return nil
 }
 
-// PendingCount returns how many blocks of the pool have a part ready to
-// open; 0 for out-of-range pools.
-func (m *Manager) PendingCount(pool int) int {
-	if pool < 0 || pool >= len(m.pendingQ) {
-		return 0
-	}
-	return len(m.pendingQ[pool])
-}
-
 // PendingCountGroup returns how many pending blocks of the pool have a
 // next part in the requested speed group; 0 for out-of-range pools.
 func (m *Manager) PendingCountGroup(pool int, fast bool) int {
@@ -431,30 +422,12 @@ func (m *Manager) AllocateFirst(pool int) (VB, error) {
 	return m.vb(b, 0), nil
 }
 
-// OpenPending pops the oldest block of the pool whose next part became
-// allocatable and opens that part. ok is false when no block is pending.
-func (m *Manager) OpenPending(pool int) (VB, bool) {
-	if pool < 0 || pool >= len(m.pendingQ) {
-		return VB{}, false
-	}
-	q := m.pendingQ[pool]
-	if len(q) == 0 {
-		return VB{}, false
-	}
-	b := q[0]
-	m.pendingQ[pool] = q[1:]
-	bi := &m.blocks[b]
-	bi.pending = false
-	part := bi.allocated
-	bi.allocated++
-	return m.vb(b, part), true
-}
-
-// OpenPendingGroup behaves like OpenPending but only considers blocks
-// whose next part belongs to the requested speed group (fast or slow).
-// With k=2 a pending part is always fast, so this matters only for k>2
-// where a block's second slow part is also reached through the pending
-// queue.
+// OpenPendingGroup pops the oldest block of the pool whose next part
+// became allocatable and belongs to the requested speed group (fast or
+// slow), and opens that part. ok is false when no such block is
+// pending. With k=2 a pending part is always fast, so the group matters
+// only for k>2, where a block's second slow part is also reached
+// through the pending queue.
 func (m *Manager) OpenPendingGroup(pool int, fast bool) (VB, bool) {
 	if pool < 0 || pool >= len(m.pendingQ) {
 		return VB{}, false
@@ -549,15 +522,7 @@ func (m *Manager) ReleaseForce(b nand.BlockID) error {
 	if bi.phase == phaseFull {
 		m.fullCnt--
 	}
-	if bi.pending {
-		q := m.pendingQ[bi.pool]
-		for i, blk := range q {
-			if blk == b {
-				m.pendingQ[bi.pool] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-	}
+	m.UnqueuePending(b)
 	m.idxRemove(b)
 	*bi = blockInfo{}
 	m.freePush(b)
@@ -582,15 +547,7 @@ func (m *Manager) Retire(b nand.BlockID) error {
 	case phaseFull:
 		m.fullCnt--
 	}
-	if bi.pending {
-		q := m.pendingQ[bi.pool]
-		for i, blk := range q {
-			if blk == b {
-				m.pendingQ[bi.pool] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-	}
+	m.UnqueuePending(b)
 	m.idxRemove(b)
 	*bi = blockInfo{phase: phaseRetired}
 	m.retired++

@@ -154,7 +154,7 @@ func TestLifecycleFigureNine(t *testing.T) {
 
 	// While VB 2n is filling, VB 2n+1 must not be allocatable.
 	fill(t, m, b, 3)
-	if _, ok := m.OpenPending(poolHot); ok {
+	if _, ok := m.OpenPendingGroup(poolHot, true); ok {
 		t.Fatal("fast VB opened before slow VB was full")
 	}
 	// Advancing past the open part without allocating the next one fails.
@@ -166,13 +166,13 @@ func TestLifecycleFigureNine(t *testing.T) {
 		t.Fatalf("advance without open part: %v", err)
 	}
 	// Now the fast VB is pending for the same area only.
-	if _, ok := m.OpenPending(poolCold); ok {
+	if _, ok := m.OpenPendingGroup(poolCold, true); ok {
 		t.Fatal("fast VB must only be allocatable by the owning area")
 	}
-	if m.PendingCount(poolHot) != 1 {
-		t.Fatalf("pending = %d", m.PendingCount(poolHot))
+	if m.PendingCountGroup(poolHot, true) != 1 {
+		t.Fatalf("pending = %d", m.PendingCountGroup(poolHot, true))
 	}
-	fast, ok := m.OpenPending(poolHot)
+	fast, ok := m.OpenPendingGroup(poolHot, true)
 	if !ok || fast.Block != b || fast.Part != 1 {
 		t.Fatalf("pending open = %v %v", fast, ok)
 	}
@@ -227,13 +227,13 @@ func TestReleaseForceScrubsPendingQueue(t *testing.T) {
 	m := newTestManager(t, 2)
 	vb, _ := m.AllocateFirst(poolCold)
 	fill(t, m, vb.Block, 4) // part 0 full -> pending
-	if m.PendingCount(poolCold) != 1 {
+	if m.PendingCountGroup(poolCold, true) != 1 {
 		t.Fatal("not pending")
 	}
 	if err := m.ReleaseForce(vb.Block); err != nil {
 		t.Fatal(err)
 	}
-	if m.PendingCount(poolCold) != 0 {
+	if m.PendingCountGroup(poolCold, true) != 0 {
 		t.Error("pending queue not scrubbed")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -245,7 +245,7 @@ func TestReusedBlockStartsClean(t *testing.T) {
 	m := newTestManager(t, 2)
 	vb, _ := m.AllocateFirst(poolHot)
 	fill(t, m, vb.Block, 4)
-	fast, _ := m.OpenPending(poolHot)
+	fast, _ := m.OpenPendingGroup(poolHot, true)
 	fill(t, m, fast.Block, 4)
 	if err := m.Release(vb.Block); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestKEqualsFourOrdering(t *testing.T) {
 	}
 	for part := 1; part < 4; part++ {
 		fill(t, m, b, 2)
-		next, ok := m.OpenPending(poolHot)
+		next, ok := m.OpenPendingGroup(poolHot, m.FastPart(part))
 		if !ok || next.Part != part {
 			t.Fatalf("expected part %d pending, got %v %v", part, next, ok)
 		}
@@ -293,7 +293,7 @@ func TestForEachFullAndOwned(t *testing.T) {
 	m := newTestManager(t, 2)
 	a, _ := m.AllocateFirst(poolHot)
 	fill(t, m, a.Block, 4)
-	f, _ := m.OpenPending(poolHot)
+	f, _ := m.OpenPendingGroup(poolHot, true)
 	fill(t, m, f.Block, 4)
 	b, _ := m.AllocateFirst(poolCold)
 	_ = b
@@ -351,7 +351,7 @@ func TestPropertyManagerInvariants(t *testing.T) {
 				}
 			case 1:
 				area := rng.Intn(2)
-				if vb, ok := m.OpenPending(area); ok {
+				if vb, ok := m.OpenPendingGroup(area, true); ok {
 					if got, _ := m.PoolOf(vb.Block); got != area {
 						t.Logf("pending open crossed areas")
 						return false
@@ -403,7 +403,7 @@ func fullFill(t *testing.T, m *Manager, pool int) nand.BlockID {
 		t.Fatal(err)
 	}
 	fill(t, m, vb.Block, 4)
-	fast, ok := m.OpenPending(pool)
+	fast, ok := m.OpenPendingGroup(pool, true)
 	if !ok || fast.Block != vb.Block {
 		t.Fatalf("pending after slow fill = %v %v", fast, ok)
 	}
@@ -455,13 +455,13 @@ func TestRetireLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, m, vb.Block, 4)
-	if m.PendingCount(poolCold) != 1 {
+	if m.PendingCountGroup(poolCold, true) != 1 {
 		t.Fatal("setup: fast part not pending")
 	}
 	if err := m.Retire(vb.Block); err != nil {
 		t.Fatal(err)
 	}
-	if m.PendingCount(poolCold) != 0 {
+	if m.PendingCountGroup(poolCold, true) != 0 {
 		t.Error("pending queue not scrubbed on retire")
 	}
 	if err := m.CheckInvariants(); err != nil {
