@@ -22,9 +22,12 @@
 // right speed only when it is rewritten by the host or relocated by GC,
 // so the strategy adds no write or GC overhead of its own (§4.2). The
 // code mirrors this: PPB supplies only an ftl.Placement (host placement,
-// GC relocation, open-VB exclusion and a slow-first relocation order),
-// and ftl.Base runs the host write path and garbage collection around
-// it exactly as for the baselines.
+// GC relocation and a slow-first relocation order), and ftl.Base runs
+// the host write path, the page program (ftl.Base.ProgramNext) and
+// garbage collection around it exactly as for the baselines. Which VBs
+// are open, and so never GC victims, is vblock.Manager state: PPB's
+// open-VB slots mirror it (every slot opens through AllocateFirst or
+// OpenPendingGroup and closes when its part fills).
 //
 // On multi-chip devices PPB inherits chip placement from the
 // virtual-block manager's dispatch policy: by default each pool's
@@ -60,13 +63,6 @@ type Options struct {
 	// defaults to 1/64 of logical pages each (min 64).
 	HotListEntries  int
 	IronListEntries int
-	// ColdTableEntries bounds the access-frequency table. Zero defaults
-	// to the logical page count (min 256): the cold area is most of the
-	// device, and an undersized table ages out exactly the read-popular
-	// entries it exists to find. At the full Table 1 scale this costs
-	// roughly 50 MB — the footprint a real controller would spend on its
-	// mapping cache.
-	ColdTableEntries int
 	// ColdPromoteReads is the re-access count that turns icy-cold data
 	// cold (default 2).
 	ColdPromoteReads uint32
@@ -104,7 +100,6 @@ func (o Options) withDefaults(cfg nand.Config, logicalPages uint64) Options {
 	}
 	o.HotListEntries = def(o.HotListEntries, 64, 64)
 	o.IronListEntries = def(o.IronListEntries, 64, 64)
-	o.ColdTableEntries = def(o.ColdTableEntries, 1, 256)
 	if o.ColdPromoteReads == 0 {
 		o.ColdPromoteReads = 2
 	}
@@ -245,7 +240,7 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	vbm.MarkHotPools(poolHotHost, poolHotGC)
 	p := &PPB{vbm: vbm}
 	p.Base, err = ftl.NewBase(dev, vbm, opt.FTL, ftl.Placement{
-		Host: p.host, Relocate: p.reprogramGC, Open: p.excludeOpen, FastFirst: p.gcSlowFirst,
+		Host: p.host, Relocate: p.reprogramGC, FastFirst: p.gcSlowFirst,
 	})
 	if err != nil {
 		return nil, err
@@ -254,14 +249,7 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	opt = opt.withDefaults(dev.Config(), logical)
 	p.opt, p.ident = opt, opt.Identifier
 	p.hot = hotness.NewTwoLevelLRU(opt.HotListEntries, opt.IronListEntries)
-	// When the cold table covers the whole logical space (the default),
-	// back it with a dense per-LPN array: the bounded map could never
-	// overflow at that size, and every host read consults this table.
-	if uint64(opt.ColdTableEntries) >= logical {
-		p.cold = hotness.NewDenseFreqTable(logical, opt.ColdPromoteReads)
-	} else {
-		p.cold = hotness.NewFreqTable(opt.ColdTableEntries, opt.ColdPromoteReads)
-	}
+	p.cold = hotness.NewDenseFreqTable(logical, opt.ColdPromoteReads)
 	return p, nil
 }
 
@@ -402,12 +390,7 @@ func (p *PPB) programAt(pool int, lvl hotness.Level, wantFast bool, oob nand.OOB
 	if err != nil {
 		return 0, 0, err
 	}
-	page, vbFull, _, err := p.vbm.Advance(vb.Block)
-	if err != nil {
-		return 0, 0, err
-	}
-	ppn := p.Geom().PPNForBlockPage(vb.Block, page)
-	cost, err := p.Device().Program(ppn, oob)
+	cost, ppn, vbFull, err := p.ProgramNext(vb.Block, oob)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -564,20 +547,6 @@ func (p *PPB) closeOpenVB(vb vblock.VB) {
 	}
 }
 
-// pairedLevel returns the other level of the same area.
-func pairedLevel(lvl hotness.Level) hotness.Level {
-	switch lvl {
-	case hotness.IronHot:
-		return hotness.Hot
-	case hotness.Hot:
-		return hotness.IronHot
-	case hotness.Cold:
-		return hotness.IcyCold
-	default:
-		return hotness.Cold
-	}
-}
-
 // gcSlowFirst orders GC relocation so slow-deserving data (hot, icy)
 // moves first: filling slow halves opens the paired fast halves
 // (in-order programming), so by the time the victim's fast-deserving
@@ -586,18 +555,6 @@ func pairedLevel(lvl hotness.Level) hotness.Level {
 // progressive migration converge.
 func (p *PPB) gcSlowFirst(oob nand.OOB) bool {
 	return !p.currentLevel(oob.LPN, oob.Tag).Fast()
-}
-
-// excludeOpen keeps currently open VB blocks out of victim selection.
-func (p *PPB) excludeOpen(b nand.BlockID) bool {
-	for lvl := range p.open {
-		for st := range p.open[lvl] {
-			if p.isOpen[lvl][st] && p.open[lvl][st].Block == b {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // reprogramGC relocates one valid page during GC. This is where the
@@ -674,13 +631,11 @@ func (p *PPB) CheckAreaPurity() error {
 	for b := 0; b < cfg.TotalBlocks(); b++ {
 		blockPool, known := p.vbm.PoolOf(nand.BlockID(b))
 		blockArea := poolArea(blockPool)
-		hasAny := false
 		for pg := 0; pg < cfg.PagesPerBlock; pg++ {
 			ppn := cfg.PPNForBlockPage(nand.BlockID(b), pg)
 			if dev.State(ppn) == nand.PageFree {
 				continue
 			}
-			hasAny = true
 			lvl := hotness.Level(dev.PeekOOB(ppn).Tag)
 			if !lvl.Valid() {
 				return fmt.Errorf("core: block %d page %d has invalid level tag %d", b, pg, dev.PeekOOB(ppn).Tag)
@@ -697,7 +652,6 @@ func (p *PPB) CheckAreaPurity() error {
 					b, blockArea, lvl, pg)
 			}
 		}
-		_ = hasAny
 	}
 	return nil
 }

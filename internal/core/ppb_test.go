@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -57,8 +58,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if p.opt.Identifier == nil || p.opt.Identifier.Name() != "size-check" {
 		t.Error("default identifier should be size-check")
 	}
-	if p.opt.HotListEntries < 64 || p.opt.ColdTableEntries < 256 {
-		t.Errorf("capacities = %d/%d", p.opt.HotListEntries, p.opt.ColdTableEntries)
+	if p.opt.HotListEntries < 64 || p.opt.IronListEntries < 64 {
+		t.Errorf("capacities = %d/%d", p.opt.HotListEntries, p.opt.IronListEntries)
 	}
 	if p.opt.ColdPromoteReads != 2 {
 		t.Errorf("promote reads = %d", p.opt.ColdPromoteReads)
@@ -409,6 +410,55 @@ func TestSplitFactorFour(t *testing.T) {
 	}
 	if err := p.CheckMapping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenSlotsMatchManager pins the contract GC victim selection relies
+// on: after every write of a GC-heavy churn, at split factors 2 and 4,
+// the vblock manager reports a block open (IsOpen) exactly when PPB
+// holds an open VB slot on it.
+func TestOpenSlotsMatchManager(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			opt := testOptions()
+			opt.SplitFactor = k
+			p := newPPB(t, testConfig(), opt)
+			held := func(b nand.BlockID) bool {
+				for pool := range p.open {
+					for sp := range p.open[pool] {
+						if p.isOpen[pool][sp] && p.open[pool][sp].Block == b {
+							return true
+						}
+					}
+				}
+				return false
+			}
+			rng := rand.New(rand.NewSource(5))
+			span := int64(p.LogicalPages())
+			blocks := p.Config().TotalBlocks()
+			for i := 0; i < 5000; i++ {
+				size := hotSize
+				if rng.Intn(3) > 0 {
+					size = coldSize
+				}
+				if err := p.Write(uint64(rng.Int63n(span)), size); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(4) == 0 {
+					if _, err := p.Read(uint64(rng.Int63n(span))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for b := nand.BlockID(0); int(b) < blocks; b++ {
+					if p.vbm.IsOpen(b) != held(b) {
+						t.Fatalf("write %d: block %d IsOpen=%v, PPB holds it=%v", i, b, p.vbm.IsOpen(b), held(b))
+					}
+				}
+			}
+			if p.Stats().GCErases.Value() == 0 {
+				t.Fatal("churn did not trigger GC")
+			}
+		})
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 )
 
 // Placement is everything that distinguishes one FTL strategy from
-// another: where a host page goes, where a GC relocation goes, which
-// blocks are open (and so never GC victims), and optionally the order
-// GC relocates a victim's pages in. A strategy hands one to NewBase;
-// Base runs the rest of the host write path (Write) and the garbage
-// collector (GCLoop) around it.
+// another: where a host page goes, where a GC relocation goes, and
+// optionally the order GC relocates a victim's pages in. A strategy
+// hands one to NewBase; Base runs the rest of the host write path
+// (Write) and the garbage collector (GCLoop) around it. Which blocks are
+// open, and so never GC victims, is the vblock manager's state
+// (vblock.Manager.IsOpen), not the strategy's.
 type Placement struct {
 	// Host programs the host write of lpn (reqSize as in FTL.Write) and
 	// returns the device cost and the new physical page. Base has
@@ -24,9 +25,6 @@ type Placement struct {
 	// returns the device cost and the new physical page; Base remaps
 	// the page's LPN and invalidates the source.
 	Relocate func(oob nand.OOB) (time.Duration, nand.PPN, error)
-	// Open reports blocks GC must not collect (the strategy's open
-	// blocks); nil excludes none.
-	Open func(nand.BlockID) bool
 	// FastFirst, when set, orders relocation within each victim: pages
 	// it returns true for move before the rest. nil keeps physical page
 	// order.
@@ -120,9 +118,6 @@ func (b *Base) Config() nand.Config { return b.cfg }
 // copies the Config struct).
 func (b *Base) Geom() *nand.Config { return &b.cfg }
 
-// Opts returns the effective (defaulted) options.
-func (b *Base) Opts() Options { return b.opts }
-
 // Map returns the logical-to-physical mapping table.
 func (b *Base) Map() *Mapping { return b.table }
 
@@ -137,6 +132,24 @@ func (b *Base) Manager() *vblock.Manager { return b.vbm }
 // single-tenant runs never call it, and with Options.Tenants <= 1 the
 // manager ignores the active tenant entirely.
 func (b *Base) SetTenant(t int) { b.vbm.SetActiveTenant(t) }
+
+// ProgramNext programs oob into the next page of blk's open part and
+// returns the device cost, the programmed page and whether the part is
+// now full (the strategy then closes its slot). It is the one page
+// program step of every strategy's placement.
+//
+//flashvet:hotpath
+func (b *Base) ProgramNext(blk nand.BlockID, oob nand.OOB) (cost time.Duration, ppn nand.PPN, partFull bool, err error) {
+	page, partFull, err := b.vbm.Advance(blk)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	ppn = b.cfg.PPNForBlockPage(blk, page)
+	if cost, err = b.dev.Program(ppn, oob); err != nil {
+		return 0, 0, false, err
+	}
+	return cost, ppn, partFull, nil
+}
 
 // Invalidate drops a physical page and keeps the victim index current.
 // All FTL-side invalidation must go through here (not nand.Device

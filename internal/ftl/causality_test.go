@@ -48,7 +48,7 @@ func causalBase(t *testing.T, dep DependencyModel) (*Base, *nand.Device, nand.Bl
 		t.Fatalf("victim on chip %d, want chip 0", got)
 	}
 	for page := 0; page < cfg.PagesPerBlock; page++ {
-		pg, _, _, err := vbm.Advance(victim)
+		pg, _, err := vbm.Advance(victim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestNestedCollectScratch(t *testing.T) {
 					t.Fatal("fast part not pending")
 				}
 			}
-			pg, _, _, err := vbm.Advance(blk)
+			pg, _, err := vbm.Advance(blk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestNestedCollectScratch(t *testing.T) {
 				t.Fatal("no destination space")
 			}
 		}
-		pg, vbFull, _, err := vbm.Advance(dest.Block)
+		pg, vbFull, err := vbm.Advance(dest.Block)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -45,7 +45,7 @@ func NewConventional(dev *nand.Device, opts Options) (*Conventional, error) {
 	vbm.MarkHotPools(convHost)
 	c := &Conventional{}
 	c.Base, err = NewBase(dev, vbm, opts,
-		Placement{Host: c.host, Relocate: c.programGC, Open: c.excludeActive})
+		Placement{Host: c.host, Relocate: c.programGC})
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +64,7 @@ func (c *Conventional) host(lpn uint64, _ int) (time.Duration, nand.PPN, error) 
 // block when needed, and returns the device cost and the programmed PPN.
 //
 //flashvet:hotpath
-func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, ppn nand.PPN, err error) {
+func (c *Conventional) program(stream int, oob nand.OOB) (time.Duration, nand.PPN, error) {
 	if !c.open[stream] {
 		vb, err := c.vbm.AllocateFirst(stream)
 		if err != nil {
@@ -79,17 +79,11 @@ func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, pp
 			c.active[stream], c.open[stream] = vb.Block, true
 		}
 	}
-	blk := c.active[stream]
-	page, _, blockFull, err := c.vbm.Advance(blk)
+	cost, ppn, full, err := c.ProgramNext(c.active[stream], oob)
 	if err != nil {
 		return 0, 0, err
 	}
-	ppn = c.cfg.PPNForBlockPage(blk, page)
-	cost, err = c.Device().Program(ppn, oob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if blockFull {
+	if full {
 		c.open[stream] = false
 	}
 	return cost, ppn, nil
@@ -97,9 +91,4 @@ func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, pp
 
 func (c *Conventional) programGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	return c.program(convGC, oob)
-}
-
-func (c *Conventional) excludeActive(b nand.BlockID) bool {
-	return (c.open[convHost] && b == c.active[convHost]) ||
-		(c.open[convGC] && b == c.active[convGC])
 }

@@ -17,11 +17,14 @@
 // FTL interface.
 //
 // Strategies differ only in where pages go. Each supplies a Placement
-// (host placement, GC relocation, open-block exclusion and an optional
-// relocation order) to NewBase, and the embedded Base runs everything
-// else: the host write path (Base.Write: range check, low-water GC,
-// invalidation of the old copy, mapping, stats), plain host reads
-// (Base.Read) and the garbage collector (Base.GCLoop).
+// (host placement, GC relocation and an optional relocation order) to
+// NewBase, and the embedded Base runs everything else: the host write
+// path (Base.Write: range check, low-water GC, invalidation of the old
+// copy, mapping, stats), the page program into a chosen block
+// (Base.ProgramNext), plain host reads (Base.Read) and the garbage
+// collector (Base.GCLoop). GC never asks the strategy which blocks are
+// open: the vblock manager knows (vblock.Manager.IsOpen), and
+// Manager.PickVictim skips them.
 //
 // Every strategy allocates blocks through vblock.Manager, whose
 // dispatch policy (Options.Dispatch) decides which chip each newly

@@ -8,15 +8,15 @@ import (
 
 // GCLoop is the garbage collector shared by every FTL in this module:
 // greedy victim selection (most invalid pages, wear-aware tie-break)
-// among the blocks Placement.Open does not hold, valid-page relocation
-// through Placement.Relocate (in Placement.FastFirst order when set),
-// erase, release. It runs until the free pool recovers to the
+// among the blocks that are not open (vblock.Manager.IsOpen), valid-page
+// relocation through Placement.Relocate (in Placement.FastFirst order
+// when set), erase, release. It runs until the free pool recovers to the
 // high-water mark or nothing reclaimable remains. Base.Write calls it
 // at the low-water mark.
 //
 // Victims come from the manager's incrementally maintained invalid-count
-// index, so each pick costs O(candidates at the top count) instead of a
-// scan over every block (victim_test.go cross-checks it against the
+// index, so each pick costs O(candidates in the buckets walked) instead
+// of a scan over every block (victim_test.go cross-checks it against the
 // full-scan reference).
 func (b *Base) GCLoop() error {
 	vbm := b.vbm
@@ -24,7 +24,7 @@ func (b *Base) GCLoop() error {
 	for vbm.FreeBlocks() < b.opts.GCHighWater {
 		victim, ok := b.pickVictim(true)
 		if !ok {
-			// Desperation: consider partially filled, non-active blocks.
+			// Desperation: consider partially filled blocks that are not open.
 			victim, ok = b.pickVictim(false)
 			if !ok {
 				return nil // nothing reclaimable; let the write fail if truly full
@@ -57,24 +57,20 @@ func (b *Base) GCLoop() error {
 
 // pickVictim selects the next GC victim: full blocks only, then (when
 // fullOnly is cleared) any owned block as the desperation fallback.
-// Under Options.Wear == WearAware the greedy rule is relaxed through
-// the victim index.
+// Under Options.Wear == WearAware the greedy rule is relaxed by
+// Options.WearWindow invalid-count buckets.
 func (b *Base) pickVictim(fullOnly bool) (nand.BlockID, bool) {
+	window := 0
 	if b.opts.Wear == WearAware {
-		return b.vbm.PickVictimWearAware(fullOnly, b.place.Open, b.dev.EraseCount, b.opts.WearWindow)
+		window = b.opts.WearWindow
 	}
-	return b.vbm.PickVictim(fullOnly, b.place.Open, b.dev.EraseCount)
-}
-
-// excluded reports whether Placement.Open holds the block.
-func (b *Base) excluded(blk nand.BlockID) bool {
-	return b.place.Open != nil && b.place.Open(blk)
+	return b.vbm.PickVictim(fullOnly, b.dev.EraseCount, window)
 }
 
 // scrubRetireCandidates drains the device's retire-candidate queue
 // while free space allows: each candidate's surviving valid pages are
 // relocated and the block is retired instead of freed. A candidate
-// skipped here (active block, or the pool ran low) keeps its pending
+// skipped here (open block, or the pool ran low) keeps its pending
 // recommendation and is retired at its next normal GC erase instead, so
 // retirement never depends on the scrub running.
 func (b *Base) scrubRetireCandidates() error {
@@ -86,10 +82,7 @@ func (b *Base) scrubRetireCandidates() error {
 		if !ok {
 			return nil
 		}
-		if b.excluded(cand) {
-			continue
-		}
-		if _, owned := b.vbm.PoolOf(cand); !owned {
+		if _, owned := b.vbm.PoolOf(cand); !owned || b.vbm.IsOpen(cand) {
 			continue
 		}
 		if err := b.collectBlock(cand); err != nil {
@@ -122,7 +115,7 @@ func (b *Base) maybeWearSwap() error {
 	var candWear uint32
 	found := false
 	for blk := nand.BlockID(0); int(blk) < b.cfg.TotalBlocks(); blk++ {
-		if !b.vbm.IsFull(blk) || b.excluded(blk) {
+		if !b.vbm.IsFull(blk) {
 			continue
 		}
 		if w := b.dev.EraseCount(blk); !found || w < candWear {

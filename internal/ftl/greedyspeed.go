@@ -46,7 +46,7 @@ func NewGreedySpeed(dev *nand.Device, opts Options, ident hotness.Identifier) (*
 	}
 	g := &GreedySpeed{ident: ident}
 	g.Base, err = NewBase(dev, vbm, opts,
-		Placement{Host: g.host, Relocate: g.program, Open: g.excludeActive})
+		Placement{Host: g.host, Relocate: g.program})
 	if err != nil {
 		return nil, err
 	}
@@ -89,12 +89,7 @@ func (g *GreedySpeed) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	if vb == nil {
 		return 0, 0, fmt.Errorf("%w (greedy-speed)", ErrNoSpace)
 	}
-	page, vbFull, _, err := g.vbm.Advance(vb.Block)
-	if err != nil {
-		return 0, 0, err
-	}
-	ppn := g.cfg.PPNForBlockPage(vb.Block, page)
-	cost, err := g.dev.Program(ppn, oob)
+	cost, ppn, vbFull, err := g.ProgramNext(vb.Block, oob)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -129,8 +124,4 @@ func (g *GreedySpeed) openFast() bool {
 		g.fast, g.fastOk = g.vbm.OpenPendingGroup(0, true)
 	}
 	return g.fastOk
-}
-
-func (g *GreedySpeed) excludeActive(b nand.BlockID) bool {
-	return (g.slowOpen && b == g.slow.Block) || (g.fastOk && b == g.fast.Block)
 }

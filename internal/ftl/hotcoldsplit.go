@@ -37,7 +37,7 @@ func NewHotColdSplit(dev *nand.Device, opts Options, ident hotness.Identifier) (
 	}
 	h := &HotColdSplit{ident: ident}
 	h.Base, err = NewBase(dev, vbm, opts,
-		Placement{Host: h.host, Relocate: h.program, Open: h.excludeActive})
+		Placement{Host: h.host, Relocate: h.program})
 	if err != nil {
 		return nil, err
 	}
@@ -71,23 +71,12 @@ func (h *HotColdSplit) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 		}
 		h.active[area], h.open[area] = vb.Block, true
 	}
-	blk := h.active[area]
-	page, _, blockFull, err := h.vbm.Advance(blk)
+	cost, ppn, full, err := h.ProgramNext(h.active[area], oob)
 	if err != nil {
 		return 0, 0, err
 	}
-	ppn := h.cfg.PPNForBlockPage(blk, page)
-	cost, err := h.dev.Program(ppn, oob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if blockFull {
+	if full {
 		h.open[area] = false
 	}
 	return cost, ppn, nil
-}
-
-func (h *HotColdSplit) excludeActive(b nand.BlockID) bool {
-	return (h.open[hotness.AreaHot] && b == h.active[hotness.AreaHot]) ||
-		(h.open[hotness.AreaCold] && b == h.active[hotness.AreaCold])
 }

@@ -26,9 +26,9 @@ func victimTestConfig(blocks int) nand.Config {
 // TestVictimIndexMatchesLegacyScan drives random writes, invalidations
 // and collections through a device + manager pair and asserts after
 // every step that the incremental invalid-count index picks the same
-// victim as the legacy full scan — or one with an identical
-// (invalid pages, wear) score, since equally-scored candidates are
-// interchangeable under the greedy policy.
+// victim as the legacy full scan over the blocks that are not open —
+// or one with an identical (invalid pages, wear) score, since
+// equally-scored candidates are interchangeable under the greedy policy.
 func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 	for trial := int64(0); trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -60,7 +60,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			}
 			i := rng.Intn(len(writable))
 			w := writable[i]
-			page, vbFull, _, err := vbm.Advance(w.vb.Block)
+			page, vbFull, err := vbm.Advance(w.vb.Block)
 			if err != nil {
 				t.Fatalf("advance: %v", err)
 			}
@@ -87,7 +87,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 		}
 
 		collectOne := func() {
-			victim, ok := vbm.PickVictim(false, nil, dev.EraseCount)
+			victim, ok := vbm.PickVictim(false, dev.EraseCount, 0)
 			if !ok {
 				return
 			}
@@ -111,15 +111,11 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			if _, err := dev.Erase(victim); err != nil {
 				t.Fatalf("erase: %v", err)
 			}
-			full := vbm.IsFull(victim)
-			vbm.UnqueuePending(victim)
-			for i := range writable {
-				if writable[i].vb.Block == victim {
-					writable = append(writable[:i], writable[i+1:]...)
-					break
-				}
+			if vbm.IsOpen(victim) {
+				t.Fatalf("victim %d is open", victim)
 			}
-			if full {
+			vbm.UnqueuePending(victim)
+			if vbm.IsFull(victim) {
 				err = vbm.Release(victim)
 			} else {
 				err = vbm.ReleaseForce(victim)
@@ -156,8 +152,8 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 				if fullOnly {
 					iter = vbm.ForEachFull
 				}
-				got, gok := vbm.PickVictim(fullOnly, nil, dev.EraseCount)
-				want, wok := victimPolicy{dev: dev}.pick(iter, nil)
+				got, gok := vbm.PickVictim(fullOnly, dev.EraseCount, 0)
+				want, wok := victimPolicy{dev: dev}.pick(iter, vbm.IsOpen)
 				if gok != wok {
 					t.Fatalf("trial %d step %d fullOnly=%v: index found=%v, scan found=%v",
 						trial, step, fullOnly, gok, wok)
@@ -176,8 +172,9 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 	}
 }
 
-// TestVictimIndexHonorsExclude verifies that excluded blocks are skipped
-// and the pick falls through to lower invalid-count buckets.
+// TestVictimIndexHonorsExclude verifies that open blocks are never
+// victims: the pick skips them, even when they hold the most invalid
+// pages, and falls through to lower invalid-count buckets.
 func TestVictimIndexHonorsExclude(t *testing.T) {
 	cfg := victimTestConfig(16)
 	dev := nand.MustNewDevice(cfg)
@@ -187,13 +184,15 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 	}
 	base := Base{dev: dev, cfg: cfg, vbm: vbm}
 
-	fill := func(invalidate int) nand.BlockID {
+	// fill programs pages of a fresh block and invalidates the first
+	// invalidate of them.
+	fill := func(pages, invalidate int) nand.BlockID {
 		vb, err := vbm.AllocateFirst(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := 0; p < cfg.PagesPerBlock; p++ {
-			if _, _, _, err := vbm.Advance(vb.Block); err != nil {
+		for p := 0; p < pages; p++ {
+			if _, _, err := vbm.Advance(vb.Block); err != nil {
 				t.Fatal(err)
 			}
 			ppn := cfg.PPNForBlockPage(vb.Block, p)
@@ -209,17 +208,71 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 		return vb.Block
 	}
 
-	top := fill(6)
-	second := fill(3)
-	if got, ok := vbm.PickVictim(true, nil, dev.EraseCount); !ok || got != top {
-		t.Fatalf("pick = %v %v, want block %d", got, ok, top)
+	open := fill(cfg.PagesPerBlock-1, cfg.PagesPerBlock-1)
+	if !vbm.IsOpen(open) {
+		t.Fatal("setup: partly programmed block not open")
 	}
-	got, ok := vbm.PickVictim(true, func(b nand.BlockID) bool { return b == top }, dev.EraseCount)
-	if !ok || got != second {
-		t.Fatalf("excluded pick = %v %v, want block %d", got, ok, second)
+	for _, fullOnly := range []bool{true, false} {
+		if got, ok := vbm.PickVictim(fullOnly, dev.EraseCount, 0); ok {
+			t.Fatalf("fullOnly=%v: picked %d, want none (the only candidate is open)", fullOnly, got)
+		}
 	}
-	if _, ok := vbm.PickVictim(true, func(nand.BlockID) bool { return true }, dev.EraseCount); ok {
-		t.Fatal("pick with everything excluded should fail")
+	top := fill(cfg.PagesPerBlock, 6)
+	fill(cfg.PagesPerBlock, 3)
+	for _, fullOnly := range []bool{true, false} {
+		if got, ok := vbm.PickVictim(fullOnly, dev.EraseCount, 0); !ok || got != top {
+			t.Fatalf("fullOnly=%v: pick = %v %v, want block %d below the open one", fullOnly, got, ok, top)
+		}
+	}
+}
+
+// TestOpenSlotsMatchManager pins the contract victim selection relies
+// on: after every write of a GC-heavy churn, the vblock manager reports
+// a block open (IsOpen) exactly when the strategy holds an open slot on
+// it.
+func TestOpenSlotsMatchManager(t *testing.T) {
+	slots := func(active [2]nand.BlockID, open [2]bool, b nand.BlockID) bool {
+		return (open[0] && active[0] == b) || (open[1] && active[1] == b)
+	}
+	for _, kind := range allKinds {
+		t.Run(kind, func(t *testing.T) {
+			f := newFTL(t, kind, testConfig(), Options{})
+			var held func(nand.BlockID) bool
+			var vbm *vblock.Manager
+			switch f := f.(type) {
+			case *Conventional:
+				vbm = f.Manager()
+				held = func(b nand.BlockID) bool { return slots(f.active, f.open, b) }
+			case *HotColdSplit:
+				vbm = f.Manager()
+				held = func(b nand.BlockID) bool { return slots(f.active, f.open, b) }
+			case *GreedySpeed:
+				vbm = f.Manager()
+				held = func(b nand.BlockID) bool {
+					return (f.slowOpen && f.slow.Block == b) || (f.fastOk && f.fast.Block == b)
+				}
+			}
+			rng := rand.New(rand.NewSource(7))
+			span := int64(f.LogicalPages() / 2)
+			blocks := f.Device().Config().TotalBlocks()
+			for i := 0; i < 3000; i++ {
+				size := 4096
+				if rng.Intn(2) == 0 {
+					size = 64 * 1024
+				}
+				if err := f.Write(uint64(rng.Int63n(span)), size); err != nil {
+					t.Fatal(err)
+				}
+				for b := nand.BlockID(0); int(b) < blocks; b++ {
+					if vbm.IsOpen(b) != held(b) {
+						t.Fatalf("write %d: block %d IsOpen=%v, strategy holds it=%v", i, b, vbm.IsOpen(b), held(b))
+					}
+				}
+			}
+			if f.Stats().GCErases.Value() == 0 {
+				t.Fatal("churn did not trigger GC")
+			}
+		})
 	}
 }
 
@@ -255,7 +308,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	}
 	victim := vb.Block
 	for lpn := uint64(0); lpn < 4; lpn++ {
-		page, _, _, err := vbm.Advance(victim)
+		page, _, err := vbm.Advance(victim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +328,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	if vbm.PendingCountGroup(0, true) != 1 {
 		t.Fatalf("pending count = %d, want 1", vbm.PendingCountGroup(0, true))
 	}
-	if _, ok := vbm.PickVictim(true, nil, dev.EraseCount); ok {
+	if _, ok := vbm.PickVictim(true, dev.EraseCount, 0); ok {
 		t.Fatal("full-only pick should find nothing (no full blocks)")
 	}
 
@@ -290,7 +343,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 			}
 			target, haveTarget = nvb, true
 		}
-		page, _, _, err := vbm.Advance(target.Block)
+		page, _, err := vbm.Advance(target.Block)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -298,9 +351,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 		cost, err := dev.Program(ppn, oob)
 		return cost, ppn, err
 	}
-	exclude := func(b nand.BlockID) bool { return haveTarget && b == target.Block }
-
-	base.place = Placement{Relocate: reprogram, Open: exclude}
+	base.place = Placement{Relocate: reprogram}
 	if err := base.GCLoop(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +382,8 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 // implementation the incremental index in vblock.Manager is checked
 // against: greedy by invalid-page count ("the block with the most
 // invalid pages is selected"), ties broken toward lower wear. Blocks the
-// exclude callback rejects (e.g. active blocks) are skipped. Returns
-// ok=false when no candidate has any invalid page.
+// exclude callback rejects (open blocks, vblock.Manager.IsOpen) are
+// skipped. Returns ok=false when no candidate has any invalid page.
 //
 // Greedy, not the Kawaguchi cost-benefit score (inv*age/(2*valid+1)):
 // it is what GCLoop documents and the paper's baseline assumes, and the

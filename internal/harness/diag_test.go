@@ -165,5 +165,5 @@ func replayWithPrefill(f ftl.FTL, wl WorkloadBuilder) error {
 		}
 	}
 	*f.Stats() = ftl.Stats{}
-	return ReplayQueued(f, wl(logicalBytes), nil, ReplayOptions{})
+	return ReplayQueued(f, wl(logicalBytes), NewReplayMetrics(), ReplayOptions{})
 }

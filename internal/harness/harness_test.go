@@ -162,7 +162,7 @@ func TestReplayRequestSplitsPages(t *testing.T) {
 	}
 	// A 3.5-page write touches 4 pages.
 	req := trace.Request{Op: trace.OpWrite, Offset: 16384, Size: 3*16384 + 8192}
-	if err := ReplayQueued(f, requestStream(req), nil, ReplayOptions{}); err != nil {
+	if err := ReplayQueued(f, requestStream(req), NewReplayMetrics(), ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Stats().HostWrites.Value(); got != 4 {

@@ -751,22 +751,10 @@ type ReplayOptions struct {
 // nand.Device.FlushDeferredErases call. The host clock ends at the last
 // completion — the same instant the classic loop always ended on.
 //
-// nil m skips measurement and the host model entirely (plain Replay).
+// m receives the measurements and must not be nil (NewReplayMetrics).
 func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOptions) error {
 	dev := f.Device()
 	pageSize := dev.Config().PageSize
-	if m == nil {
-		for {
-			r, ok := src.Next()
-			if !ok {
-				dev.FlushDeferredErases()
-				return nil
-			}
-			if err := issueRequest(f, r, pageSize); err != nil {
-				return err
-			}
-		}
-	}
 	qd := opts.QueueDepth
 	if qd < 1 {
 		qd = 1

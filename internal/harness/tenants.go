@@ -87,7 +87,7 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 		}
 	}
 	comp := trace.NewCompositor(children...)
-	if m != nil && m.TenantCount() == 0 {
+	if m.TenantCount() == 0 {
 		m.EnableTenants(compositorEventLoopTenants)
 	}
 	gen := &workload.Func{

@@ -2,7 +2,8 @@
 // strategy: the four hotness levels, the first-stage hot/cold identifier
 // (the paper's case study uses the request-size check), the two-level LRU
 // that splits hot data into iron-hot/hot, and the access-frequency table
-// that splits cold data into cold/icy-cold.
+// (a dense per-LPN array over the logical space) that splits cold data
+// into cold/icy-cold.
 //
 // The components are deliberately independent of the FTL so that, as the
 // paper puts it, PPB "is compatible with any hot/cold data identification

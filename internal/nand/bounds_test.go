@@ -74,40 +74,6 @@ func TestAccessorsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestEarliestChipFree: the probe tracks the least-loaded chip's clock,
-// and — like every other read-only introspection accessor — degrades to
-// zero on a device with no chip clocks instead of indexing chipFree[0]
-// unguarded.
-func TestEarliestChipFree(t *testing.T) {
-	if got := (&Device{}).EarliestChipFree(); got != 0 {
-		t.Errorf("zero-value device earliest free = %v, want 0", got)
-	}
-	cfg := twoChipConfig()
-	d := MustNewDevice(cfg)
-	if got := d.EarliestChipFree(); got != 0 {
-		t.Fatalf("idle device earliest free = %v", got)
-	}
-	c0, err := d.Program(cfg.PPNForBlockPage(0, 0), OOB{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.EarliestChipFree(); got != 0 {
-		t.Errorf("earliest free = %v, want 0 (chip 1 idle)", got)
-	}
-	chip1Block := BlockID(cfg.BlocksPerChip)
-	c1, err := d.Program(cfg.PPNForBlockPage(chip1Block, 0), OOB{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c0
-	if c1 < want {
-		want = c1
-	}
-	if got := d.EarliestChipFree(); got != want {
-		t.Errorf("earliest free = %v, want min(%v, %v)", got, c0, c1)
-	}
-}
-
 // TestBurstWindow: BeginBurst/BurstStart/BurstFinish bracket only the
 // operations scheduled since the mark, across chips.
 func TestBurstWindow(t *testing.T) {

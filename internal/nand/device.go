@@ -479,22 +479,6 @@ func (d *Device) ChipFree(chip int) time.Duration {
 	return d.chipFree[chip]
 }
 
-// EarliestChipFree returns the smallest per-chip next-free clock — the
-// moment the least-loaded chip can start new work. The host queueing
-// model advances its clock from request completions alone; dispatch
-// policies that follow the chip clocks consume them through ClockView
-// instead. A device with no chips (the zero value) reports zero, like
-// the other read-only introspection accessors.
-func (d *Device) EarliestChipFree() time.Duration {
-	var min time.Duration
-	for i, f := range d.chipFree {
-		if i == 0 || f < min {
-			min = f
-		}
-	}
-	return min
-}
-
 // ClockView is a read-only handle over the device's per-chip service
 // clocks: the view clock-aware dispatch policies (vblock.LeastLoaded,
 // vblock.HotColdAffinity) consult without being handed the mutable

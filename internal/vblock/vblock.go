@@ -389,6 +389,21 @@ func (m *Manager) IsFull(b nand.BlockID) bool {
 	return m.blocks[b].phase == phaseFull
 }
 
+// IsOpen reports whether the block has an allocated part with pages left
+// to program — a part some strategy is filling, so never a GC victim;
+// false for out-of-range block IDs.
+func (m *Manager) IsOpen(b nand.BlockID) bool {
+	if uint64(b) >= uint64(len(m.blocks)) {
+		return false
+	}
+	return m.open(&m.blocks[b])
+}
+
+// open is IsOpen on a block's state.
+func (m *Manager) open(bi *blockInfo) bool {
+	return bi.phase == phaseOwned && bi.cursor < bi.allocated*m.partLen
+}
+
 // AllocateFirst takes a free block, assigns it to the pool and returns
 // its slow part 0 VB. The dispatch policy picks the chip (the default
 // Striped rotates round-robin across chips — channel striping); within a
@@ -448,18 +463,19 @@ func (m *Manager) OpenPendingGroup(pool int, fast bool) (VB, bool) {
 }
 
 // Advance consumes the next programmable page of the block's open part.
-// It returns the page index to program, whether this fills the open part
-// (vbFull) and whether it fills the whole block (blockFull). When a part
-// fills and later parts remain, the block joins its area's pending queue.
-func (m *Manager) Advance(b nand.BlockID) (page int, vbFull, blockFull bool, err error) {
+// It returns the page index to program and whether this fills the open
+// part (vbFull). When a part fills and later parts remain, the block
+// joins its area's pending queue; when the last part fills, the block
+// is full (IsFull).
+func (m *Manager) Advance(b nand.BlockID) (page int, vbFull bool, err error) {
 	bi := &m.blocks[b]
 	switch {
 	case bi.phase == phaseFree:
-		return 0, false, false, fmt.Errorf("vblock: advancing free block %d", b)
+		return 0, false, fmt.Errorf("vblock: advancing free block %d", b)
 	case bi.phase == phaseFull:
-		return 0, false, false, fmt.Errorf("%w: block %d", ErrBlockFull, b)
+		return 0, false, fmt.Errorf("%w: block %d", ErrBlockFull, b)
 	case bi.cursor >= bi.allocated*m.partLen:
-		return 0, false, false, fmt.Errorf("%w: block %d cursor %d, %d parts allocated",
+		return 0, false, fmt.Errorf("%w: block %d cursor %d, %d parts allocated",
 			ErrNoOpenPart, b, bi.cursor, bi.allocated)
 	}
 	page = bi.cursor
@@ -469,13 +485,12 @@ func (m *Manager) Advance(b nand.BlockID) (page int, vbFull, blockFull bool, err
 		if bi.allocated == m.k && bi.cursor == m.cfg.PagesPerBlock {
 			bi.phase = phaseFull
 			m.fullCnt++
-			blockFull = true
 		} else if !bi.pending {
 			bi.pending = true
 			m.pendingQ[bi.pool] = append(m.pendingQ[bi.pool], b)
 		}
 	}
-	return page, vbFull, blockFull, nil
+	return page, vbFull, nil
 }
 
 // UnqueuePending removes the block from its area's pending queue without
@@ -613,81 +628,41 @@ func (m *Manager) idxRemove(b nand.BlockID) {
 	bi.inIdx = false
 }
 
-// PickVictim returns the greedy garbage-collection victim: the block with
-// the most invalidated pages, restricted to fully-programmed blocks when
-// fullOnly is set (the desperation pass over partially-filled blocks
-// clears it). Among equally-invalid candidates the lowest wear wins when
-// a wear callback is given. The walk starts at the highest occupied
-// invalid-count bucket, so cost is bounded by the number of candidates
-// sharing the top eligible count — independent of the device's block
-// count — rather than a full ForEachFull/ForEachOwned scan.
-func (m *Manager) PickVictim(fullOnly bool, exclude func(nand.BlockID) bool, wear func(nand.BlockID) uint32) (nand.BlockID, bool) {
+// PickVictim returns the garbage-collection victim: the least-worn
+// eligible block among those with the most invalidated pages. Open
+// blocks (IsOpen) are never eligible, and fullOnly restricts the pick to
+// fully-programmed blocks (the desperation pass over partially-filled
+// blocks clears it). The walk starts at the highest occupied
+// invalid-count bucket and keeps the least-worn eligible block seen
+// (ties go to the first found); it returns once it holds a block and has
+// finished bucket maxInv-window. Window 0 is the greedy rule with a wear
+// tie-break; a wider window is wear-aware leveling, trading a bounded
+// amount of write amplification for a flatter wear distribution, and
+// falls through to lower buckets when its range holds no eligible block
+// so GC never stalls. Cost is bounded by the candidates in the buckets
+// walked, independent of the device's block count.
+func (m *Manager) PickVictim(fullOnly bool, wear func(nand.BlockID) uint32, window int) (nand.BlockID, bool) {
 	for m.maxInv >= 1 && m.buckets[m.maxInv] == nilBlock {
 		m.maxInv--
-	}
-	for inv := m.maxInv; inv >= 1; inv-- {
-		var best nand.BlockID
-		var bestWear uint32
-		found := false
-		for node := m.buckets[inv]; node != nilBlock; node = m.blocks[node].next {
-			b := nand.BlockID(node)
-			if fullOnly && m.blocks[node].phase != phaseFull {
-				continue
-			}
-			if exclude != nil && exclude(b) {
-				continue
-			}
-			if wear == nil {
-				return b, true
-			}
-			if w := wear(b); !found || w < bestWear {
-				best, bestWear, found = b, w, true
-			}
-		}
-		if found {
-			return best, true
-		}
-	}
-	return 0, false
-}
-
-// PickVictimWearAware is PickVictim with the greedy rule relaxed for
-// wear leveling: instead of insisting on the highest invalid-page
-// count, it considers every eligible block within window invalid-count
-// buckets of the top and returns the least-worn one, trading a bounded
-// amount of write amplification for a flatter wear distribution. With
-// window 0 it degenerates to PickVictim's tie-break-by-wear; when the
-// relaxed range holds no eligible block it falls back to the full
-// PickVictim walk so GC never stalls.
-func (m *Manager) PickVictimWearAware(fullOnly bool, exclude func(nand.BlockID) bool, wear func(nand.BlockID) uint32, window int) (nand.BlockID, bool) {
-	for m.maxInv >= 1 && m.buckets[m.maxInv] == nilBlock {
-		m.maxInv--
-	}
-	lo := m.maxInv - window
-	if lo < 1 {
-		lo = 1
 	}
 	var best nand.BlockID
 	var bestWear uint32
 	found := false
-	for inv := m.maxInv; inv >= lo; inv-- {
+	for inv := m.maxInv; inv >= 1; inv-- {
 		for node := m.buckets[inv]; node != nilBlock; node = m.blocks[node].next {
-			b := nand.BlockID(node)
-			if fullOnly && m.blocks[node].phase != phaseFull {
+			bi := &m.blocks[node]
+			if (fullOnly && bi.phase != phaseFull) || m.open(bi) {
 				continue
 			}
-			if exclude != nil && exclude(b) {
-				continue
-			}
-			if w := wear(b); !found || w < bestWear {
-				best, bestWear, found = b, w, true
+			if w := wear(nand.BlockID(node)); !found || w < bestWear {
+				best, bestWear, found = nand.BlockID(node), w, true
 			}
 		}
+		if found && inv <= m.maxInv-window {
+			return best, true
+		}
 	}
-	if found {
-		return best, true
-	}
-	return m.PickVictim(fullOnly, exclude, wear)
+	return best, found
 }
 
 // ForEachFull calls fn for every full block until fn returns false.

@@ -131,17 +131,18 @@ func TestAllocateFirstExhaustion(t *testing.T) {
 	}
 }
 
-// fill programs n pages through Advance, asserting no error.
-func fill(t *testing.T, m *Manager, b nand.BlockID, n int) (lastVBFull, lastBlockFull bool) {
+// fill programs n pages through Advance, asserting no error, and
+// reports whether the last page filled its part.
+func fill(t *testing.T, m *Manager, b nand.BlockID, n int) (lastVBFull bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		_, vbFull, blockFull, err := m.Advance(b)
+		_, vbFull, err := m.Advance(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastVBFull, lastBlockFull = vbFull, blockFull
+		lastVBFull = vbFull
 	}
-	return lastVBFull, lastBlockFull
+	return lastVBFull
 }
 
 func TestLifecycleFigureNine(t *testing.T) {
@@ -151,18 +152,27 @@ func TestLifecycleFigureNine(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := vb.Block
+	if !m.IsOpen(b) {
+		t.Fatal("freshly allocated VB not open")
+	}
 
 	// While VB 2n is filling, VB 2n+1 must not be allocatable.
 	fill(t, m, b, 3)
 	if _, ok := m.OpenPendingGroup(poolHot, true); ok {
 		t.Fatal("fast VB opened before slow VB was full")
 	}
-	// Advancing past the open part without allocating the next one fails.
-	vbFull, blockFull := fill(t, m, b, 1) // page 3 fills part 0
-	if !vbFull || blockFull {
-		t.Fatalf("part 0 fill: vbFull=%v blockFull=%v", vbFull, blockFull)
+	if !m.IsOpen(b) {
+		t.Fatal("partly filled VB not open")
 	}
-	if _, _, _, err := m.Advance(b); !errors.Is(err, ErrNoOpenPart) {
+	// Advancing past the open part without allocating the next one fails.
+	vbFull := fill(t, m, b, 1) // page 3 fills part 0
+	if !vbFull || m.IsFull(b) {
+		t.Fatalf("part 0 fill: vbFull=%v full=%v", vbFull, m.IsFull(b))
+	}
+	if m.IsOpen(b) {
+		t.Fatal("block with its only allocated part filled still open")
+	}
+	if _, _, err := m.Advance(b); !errors.Is(err, ErrNoOpenPart) {
 		t.Fatalf("advance without open part: %v", err)
 	}
 	// Now the fast VB is pending for the same area only.
@@ -176,15 +186,20 @@ func TestLifecycleFigureNine(t *testing.T) {
 	if !ok || fast.Block != b || fast.Part != 1 {
 		t.Fatalf("pending open = %v %v", fast, ok)
 	}
+	if !m.IsOpen(b) {
+		t.Fatal("opened fast VB not open")
+	}
 	// Filling the fast part completes the block.
-	vbFull, blockFull = fill(t, m, b, 4)
-	if !vbFull || !blockFull {
-		t.Fatalf("block fill: vbFull=%v blockFull=%v", vbFull, blockFull)
+	if vbFull = fill(t, m, b, 4); !vbFull {
+		t.Fatal("fast part fill did not report the part full")
 	}
 	if !m.IsFull(b) || m.FullBlocks() != 1 {
 		t.Fatal("block should be full")
 	}
-	if _, _, _, err := m.Advance(b); !errors.Is(err, ErrBlockFull) {
+	if m.IsOpen(b) || m.IsOpen(nand.BlockID(1<<20)) {
+		t.Fatal("full or out-of-range block reported open")
+	}
+	if _, _, err := m.Advance(b); !errors.Is(err, ErrBlockFull) {
 		t.Fatalf("advance full block: %v", err)
 	}
 	// Release after (simulated) GC returns it to the free pool.
@@ -201,7 +216,7 @@ func TestLifecycleFigureNine(t *testing.T) {
 
 func TestAdvanceErrors(t *testing.T) {
 	m := newTestManager(t, 2)
-	if _, _, _, err := m.Advance(0); err == nil {
+	if _, _, err := m.Advance(0); err == nil {
 		t.Error("advance on free block should fail")
 	}
 }
@@ -280,8 +295,8 @@ func TestKEqualsFourOrdering(t *testing.T) {
 			t.Fatalf("expected part %d pending, got %v %v", part, next, ok)
 		}
 	}
-	_, blockFull := fill(t, m, b, 2)
-	if !blockFull {
+	fill(t, m, b, 2)
+	if !m.IsFull(b) {
 		t.Fatal("block should be full after all parts")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -361,7 +376,7 @@ func TestPropertyManagerInvariants(t *testing.T) {
 				if len(active) > 0 {
 					b := active[rng.Intn(len(active))]
 					if !m.IsFull(b) {
-						_, _, _, err := m.Advance(b)
+						_, _, err := m.Advance(b)
 						if err != nil && !errors.Is(err, ErrNoOpenPart) {
 							t.Logf("advance: %v", err)
 							return false
@@ -441,7 +456,7 @@ func TestRetireLifecycle(t *testing.T) {
 		t.Error("double retire double-counted")
 	}
 	m.NoteInvalidated(full) // must not resurrect it in the victim index
-	if v, ok := m.PickVictim(false, nil, nil); ok {
+	if v, ok := m.PickVictim(false, zeroWear, 0); ok {
 		t.Errorf("victim %d found, want none (only candidate is retired)", v)
 	}
 	if err := m.Retire(full); err != nil {
@@ -487,11 +502,15 @@ func TestRetireLifecycle(t *testing.T) {
 	}
 }
 
-// TestPickVictimWearAware pins the relaxed victim rule: the least-worn
-// block within the invalid-count window wins over a more-invalid but
-// hotter block, window 0 degenerates to greedy, and an empty window
-// falls back to the plain greedy walk.
-func TestPickVictimWearAware(t *testing.T) {
+// zeroWear is a wear callback for tests that do not exercise wear.
+func zeroWear(nand.BlockID) uint32 { return 0 }
+
+// TestPickVictimWindow pins the victim walk: window 0 is greedy with
+// a wear tie-break, a wider window takes the least-worn block within it
+// over a more-invalid but hotter block, open blocks are never picked, and
+// a window whose range holds no eligible block falls through to lower
+// buckets.
+func TestPickVictimWindow(t *testing.T) {
 	m := newTestManager(t, 2)
 	b0 := fullFill(t, m, poolHot) // 3 invalid, wear 10
 	b1 := fullFill(t, m, poolHot) // 2 invalid, wear 1
@@ -503,31 +522,81 @@ func TestPickVictimWearAware(t *testing.T) {
 		m.NoteInvalidated(b1)
 		m.NoteInvalidated(b2)
 	}
-	wear := map[nand.BlockID]uint32{b0: 10, b1: 1, b2: 5}
+	// An open block (part 0 half written) with the most invalid pages.
+	open, err := m.AllocateFirst(poolCold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, m, open.Block, 2)
+	for i := 0; i < 2; i++ {
+		m.NoteInvalidated(open.Block)
+	}
+	fill(t, m, open.Block, 2) // part 0 full: pending, no longer open
+	open2, ok := m.OpenPendingGroup(poolCold, true)
+	if !ok || open2.Block != open.Block {
+		t.Fatalf("reopen = %v %v", open2, ok)
+	}
+	for i := 0; i < 3; i++ {
+		m.NoteInvalidated(open.Block) // 5 invalid, open again
+	}
+	wear := map[nand.BlockID]uint32{b0: 10, b1: 1, b2: 5, open.Block: 0}
 	wearFn := func(b nand.BlockID) uint32 { return wear[b] }
+	if !m.IsOpen(open.Block) {
+		t.Fatal("setup: block not open")
+	}
 
-	// Window 0: greedy — the most-invalid block wins despite its wear.
-	if v, ok := m.PickVictimWearAware(true, nil, wearFn, 0); !ok || v != b0 {
-		t.Errorf("window 0 victim = %v %v, want greedy %d", v, ok, b0)
+	// Window 0: greedy — the most-invalid block wins despite its wear,
+	// and the even more invalid open block is skipped at both passes.
+	for _, fullOnly := range []bool{true, false} {
+		if v, ok := m.PickVictim(fullOnly, wearFn, 0); !ok || v != b0 {
+			t.Errorf("fullOnly=%v window 0 victim = %v %v, want greedy %d", fullOnly, v, ok, b0)
+		}
 	}
-	// Window 1 reaches one bucket down: the least-worn of {b0,b1,b2}.
-	if v, ok := m.PickVictimWearAware(true, nil, wearFn, 1); !ok || v != b1 {
-		t.Errorf("window 1 victim = %v %v, want least-worn %d", v, ok, b1)
+	// Window 1 covers buckets 5 and 4, which hold no eligible block, so
+	// the walk falls through to bucket 3: b0.
+	if v, ok := m.PickVictim(false, wearFn, 1); !ok || v != b0 {
+		t.Errorf("window 1 victim = %v %v, want %d", v, ok, b0)
 	}
-	// Excluding b1 leaves b2 as the least-worn in range.
-	excl := func(b nand.BlockID) bool { return b == b1 }
-	if v, ok := m.PickVictimWearAware(true, excl, wearFn, 1); !ok || v != b2 {
-		t.Errorf("window 1 excl victim = %v %v, want %d", v, ok, b2)
+	// Window 3 reaches bucket 2: the least-worn of {b0,b1,b2}.
+	if v, ok := m.PickVictim(false, wearFn, 3); !ok || v != b1 {
+		t.Errorf("window 3 victim = %v %v, want least-worn %d", v, ok, b1)
 	}
-	// Fallback: exclude everything in the window (only b0 qualifies at
-	// window 0 beyond bucket 3... shrink the window so only b0 is in
-	// range, exclude it, and the full greedy walk must still find b1.
-	exclTop := func(b nand.BlockID) bool { return b == b0 }
-	if v, ok := m.PickVictimWearAware(true, exclTop, wearFn, 0); !ok || v != b1 {
-		t.Errorf("fallback victim = %v %v, want %d via PickVictim", v, ok, b1)
+	// Once its last part fills the block is full, no longer open, and
+	// the most-invalid candidate.
+	fill(t, m, open.Block, 4)
+	if v, ok := m.PickVictim(true, wearFn, 0); !ok || v != open.Block {
+		t.Errorf("after fill victim = %v %v, want %d", v, ok, open.Block)
 	}
-	// PickVictim's own wear tie-break among the bucket-2 pair.
-	if v, ok := m.PickVictim(true, exclTop, wearFn); !ok || v != b1 {
+	// Fall-through: a pending block (neither open nor full) tops the
+	// index. With fullOnly set, window 1 (buckets 7 and 6) holds nothing
+	// eligible, so the walk returns the first eligible bucket below it:
+	// b0 at bucket 3, not the less-worn b1 a bucket further down.
+	if err := m.Retire(open.Block); err != nil {
+		t.Fatal(err)
+	}
+	part, err := m.AllocateFirst(poolCold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, m, part.Block, 4)
+	for i := 0; i < 7; i++ {
+		m.NoteInvalidated(part.Block)
+	}
+	if v, ok := m.PickVictim(true, wearFn, 1); !ok || v != b0 {
+		t.Errorf("window 1 fall-through victim = %v %v, want %d", v, ok, b0)
+	}
+	// The desperation pass may take the pending block.
+	if v, ok := m.PickVictim(false, wearFn, 1); !ok || v != part.Block {
+		t.Errorf("desperation victim = %v %v, want %d", v, ok, part.Block)
+	}
+	// Window 0's wear tie-break among the bucket-2 pair.
+	if err := m.Retire(b0); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m.PickVictim(true, wearFn, 0); !ok || v != b1 {
 		t.Errorf("greedy tie-break victim = %v %v, want %d", v, ok, b1)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

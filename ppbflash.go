@@ -383,11 +383,9 @@ func RunPageOps(f FTL, n int) error { return harness.RunPageOps(f, n) }
 // keeping ReplayOptions.QueueDepth requests outstanding, or — with
 // ReplayOptions.OpenLoop — an open loop issuing requests at their trace
 // arrival times and recording queueing delay alongside completion
-// latency. A nil m skips measurement and the host model entirely (the
-// options are ignored and requests replay back to back); pass
-// NewReplayMetrics() when the queueing model should shape the device
-// clocks. The zero ReplayOptions is the classic closed loop at queue
-// depth 1.
+// latency. m receives the measurements and must not be nil (pass
+// NewReplayMetrics()). The zero ReplayOptions is the classic closed loop
+// at queue depth 1.
 func ReplayQueued(f FTL, src Stream, m *ReplayMetrics, opts ReplayOptions) error {
 	return harness.ReplayQueued(f, src, m, opts)
 }
